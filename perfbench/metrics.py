@@ -30,13 +30,13 @@ END_TO_END: Tuple[Tuple[str, str, str], ...] = (
     ("peak_rss_mb", "MB", "lower"),
 )
 
-_CORE = "ingest_rows_per_s on serve_inproc; small on cluster_ingest; ~none on cluster_reads"
+_CORE = "ingest_rows_per_s on serve_inproc; small on cluster_ingest"
 _SERVE = "ingest_rows_per_s and query_p99_ms on serve_inproc"
-_PROTOCOL = ("ingest_rows_per_s on cluster_ingest, query_p50_ms on cluster_reads; "
+_PROTOCOL = ("ingest_rows_per_s and query_p50_ms on cluster_ingest; "
              "none on serve_inproc")
 _ROUTER_IN = "ingest_rows_per_s on cluster_ingest; none on serve_inproc, pipeline_windowed"
-_ROUTER_OUT = "query_p99_ms and reads_per_s on cluster_reads; none on serve_inproc"
-_QUERY = "query_p50_ms on cluster_reads and serve_inproc"
+_ROUTER_OUT = "query_p99_ms and reads_per_s on cluster_ingest; none on serve_inproc"
+_QUERY = "query_p50_ms on cluster_ingest and serve_inproc"
 _WINDOWS = "ingest_rows_per_s and commit_p50_ms on pipeline_windowed; none elsewhere"
 _CONNECTORS = "commit_p99_ms on pipeline_windowed; none elsewhere"
 _IO = "ingest_rows_per_s on pipeline_windowed"
@@ -107,7 +107,7 @@ def end_to_end(tally: Tally) -> Dict[str, float]:
         "reads_per_s": statistics.median(tally.read_rates),
         "commit_p50_ms": quantile_ms(tally.commit_s, 0.50),
         "commit_p99_ms": quantile_ms(tally.commit_s, 0.99),
-        "setup_s": tally.input_s + statistics.median(tally.boot_s),
+        "setup_s": statistics.median(tally.input_s) + statistics.median(tally.boot_s),
         "ops_ok_ratio": 1.0 - tally.failed / attempted,
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
     }

@@ -1,17 +1,18 @@
-"""The benchmark's four workloads, driven only through public APIs.
+"""The benchmark's three workloads, driven only through public APIs.
 
 Every workload runs in one asyncio loop in this process: producers and
 readers are tasks, and cluster members and the router listen on
 loopback, so cluster figures measure the CPU cost of the path, not
 cross-host scaling.
 
-A run generates its inputs from the seed once, then makes several
-repetitions.  Each repetition boots a fresh system (servers, session,
-preload), settles set-up garbage and measures for its share of the run;
-rates are the median over repetitions and latency percentiles pool every
-sample.  ``setup_s`` is the input generation plus the median boot.  The
-system's own seeds (ring placement, label sharding, sketch draws) are
-fixed, so a different seed changes the inputs and nothing else.
+A run generates its inputs from the seed :data:`INPUT_BUILDS` times
+(keeping the last), then makes several repetitions.  Each repetition
+boots a fresh system (servers, session), settles set-up garbage and
+measures for its share of the run; rates are the median over
+repetitions and latency percentiles pool every sample.  ``setup_s`` is
+the median input generation plus the median boot.  The system's own
+seeds (ring placement, label sharding, sketch draws) are fixed, so a
+different seed changes the inputs and nothing else.
 """
 
 from __future__ import annotations
@@ -42,7 +43,10 @@ SPEC = "unbiased_space_saving"
 SYSTEM_SEED = 2
 
 #: Repetitions per run (at least this many for pipeline_windowed).
-REPS = 4
+REPS = 6
+
+#: Times a run generates its inputs; ``setup_s`` takes the median.
+INPUT_BUILDS = 3
 
 #: Lowest top-10 recall against exact counts that passes the check.
 RECALL_FLOOR = 0.8
@@ -54,7 +58,7 @@ now = time.perf_counter
 class Tally:
     """What one run measured, pooled over its repetitions (seconds)."""
 
-    input_s: float = 0.0
+    input_s: List[float] = field(default_factory=list)
     boot_s: List[float] = field(default_factory=list)
     ingest_rates: List[float] = field(default_factory=list)
     read_rates: List[float] = field(default_factory=list)
@@ -122,6 +126,17 @@ class Run:
             if self.tracer is not None:
                 self.tracer.close_window()
             gc.unfreeze()
+
+
+def build_inputs(run: Run, make: Callable[[], Any]) -> Any:
+    """Call ``make`` :data:`INPUT_BUILDS` times, timing each; return the last result."""
+    inputs = None
+    for _ in range(INPUT_BUILDS):
+        inputs = None  # free the previous build before making the next
+        started = now()
+        inputs = make()
+        run.tally.input_s.append(now() - started)
+    return inputs
 
 
 # ----------------------------------------------------------------------
@@ -201,10 +216,11 @@ SERVE_LABELS = 1_000_000
 
 
 async def serve_inproc(run: Run) -> None:
-    started = now()
-    stream = make_zipf_rows(SERVE_ROWS, num_items=SERVE_LABELS, exponent=0.8, seed=run.seed)
-    chunks = chunk_stream(stream, 1_000)
-    run.tally.input_s = now() - started
+    def make():
+        stream = make_zipf_rows(SERVE_ROWS, num_items=SERVE_LABELS, exponent=0.8, seed=run.seed)
+        return stream, chunk_stream(stream, 1_000)
+
+    stream, chunks = build_inputs(run, make)
     for _ in range(REPS):
         started = now()
         server = SketchServer()
@@ -262,7 +278,7 @@ async def _serve_inproc_phase(run, client, stream, chunks) -> None:
 
 
 # ----------------------------------------------------------------------
-# Cluster topology shared by cluster_ingest and cluster_reads
+# Cluster topology of cluster_ingest
 # ----------------------------------------------------------------------
 CLUSTER_LABELS = 10_000
 CLUSTER_SHARDS = 4
@@ -324,30 +340,60 @@ INGEST_ROWS = 1_000_000
 #: Rows per write.  At ~0.2M rows/s, 10k-row batches leave too few writes
 #: (and too few reads, which queue behind them) for a p99 in one run.
 INGEST_BATCH = 2_000
+#: The reader's repeating request pattern: half ``subset_sum`` over 100
+#: labels, a quarter ``top_k(10)`` (the router's shard gather) and a
+#: quarter point ``estimate``.
+READ_CYCLE = ("subset_sum", "top_k", "subset_sum", "estimate")
+#: Discarded reads before timing (first gathers, lazy member dials).
+WARMUP_READS = 2 * len(READ_CYCLE)
+
+
+def read_args(seed: int, stream: np.ndarray):
+    """Seeded candidate sets for ``subset_sum`` and labels for ``estimate``."""
+    rng = np.random.default_rng(seed)
+    alphabet = np.arange(1, CLUSTER_LABELS + 1)
+    candidates = [
+        [int(label) for label in rng.choice(alphabet, 100, replace=False)]
+        for _ in range(64)
+    ]
+    labels = [int(label) for label in rng.choice(stream, 64)]
+    return candidates, labels
 
 
 async def cluster_ingest(run: Run) -> None:
-    started = now()
-    stream = make_zipf_rows(INGEST_ROWS, num_items=CLUSTER_LABELS, exponent=1.1, seed=run.seed)
-    chunks = chunk_stream(stream, INGEST_BATCH)
-    run.tally.input_s = now() - started
+    def make():
+        stream = make_zipf_rows(INGEST_ROWS, num_items=CLUSTER_LABELS, exponent=1.1, seed=run.seed)
+        return stream, chunk_stream(stream, INGEST_BATCH), read_args(run.seed, stream)
+
+    stream, chunks, args = build_inputs(run, make)
     for _ in range(REPS):
         started = now()
         cluster = Cluster(run)
         try:
             await cluster.start()
             run.tally.boot_s.append(now() - started)
-            await _cluster_ingest_phase(run, cluster, stream, chunks)
+            await _cluster_ingest_phase(run, cluster, stream, chunks, args)
         finally:
             await cluster.stop()
 
 
-async def _cluster_ingest_phase(run, cluster, stream, chunks) -> None:
+async def _cluster_ingest_phase(run, cluster, stream, chunks, args) -> None:
     tally = run.tally
     sent_before = tally.rows_sent
     reads_before = len(tally.query_s)
-    hot = [int(label) for label in stream[:64]]
+    candidates, labels = args
     writer, probe = cluster.clients
+
+    def read(i: int):
+        kind, turn = READ_CYCLE[i % len(READ_CYCLE)], i // len(READ_CYCLE)
+        if kind == "subset_sum":
+            return probe.subset_sum("bench", candidates[turn % len(candidates)])
+        if kind == "top_k":
+            return probe.top_k("bench", 10)
+        return probe.estimate("bench", labels[turn % len(labels)])
+
+    for i in range(WARMUP_READS):
+        await read(i)
     cursor = [0]
     with run.measuring():
         stop = asyncio.Event()
@@ -355,10 +401,9 @@ async def _cluster_ingest_phase(run, cluster, stream, chunks) -> None:
         # Closed loop: under saturating ingest each forwarded read queues
         # behind batch slices on the router's member connections, so the
         # cluster cannot sustain a fixed read rate here.
-        reader = asyncio.create_task(closed_loop(
-            run, stop, lambda i: probe.estimate("bench", hot[i % len(hot)]),
-            "loadgen.read", tally.query_s,
-        ))
+        reader = asyncio.create_task(
+            closed_loop(run, stop, read, "loadgen.read", tally.query_s)
+        )
         deadline = began + run.seconds / REPS
         await produce(run, lambda c: writer.update_batch("bench", c), chunks, cursor, deadline)
         applied = await writer.flush("bench")
@@ -371,94 +416,6 @@ async def _cluster_ingest_phase(run, cluster, stream, chunks) -> None:
     tally.read_rates.append((len(tally.query_s) - reads_before) / read_elapsed)
     counts = sent_counts(stream, chunks, cursor[0], CLUSTER_LABELS)
     await cluster.verify(rows, counts, applied)
-
-
-# ----------------------------------------------------------------------
-# cluster_reads
-# ----------------------------------------------------------------------
-PRELOAD_ROWS = 200_000
-WARMUP_READS = 60
-
-
-def read_mix(seed: int, stream: np.ndarray, size: int = 4096):
-    """The closed-loop read sequence: 50% subset_sum, 25% top_k, 25% estimate."""
-    rng = np.random.default_rng(seed)
-    kinds = rng.choice(3, size=size, p=[0.5, 0.25, 0.25])
-    alphabet = np.arange(1, CLUSTER_LABELS + 1)
-    candidates = [
-        [int(label) for label in rng.choice(alphabet, 100, replace=False)]
-        for _ in range(64)
-    ]
-    labels = [int(label) for label in rng.choice(stream, size)]
-    return kinds, candidates, labels
-
-
-async def cluster_reads(run: Run) -> None:
-    started = now()
-    stream = make_zipf_rows(PRELOAD_ROWS, num_items=CLUSTER_LABELS, exponent=1.1, seed=run.seed)
-    preload = chunk_stream(stream, 10_000)
-    writes = chunk_stream(stream, 1_000)
-    mix = read_mix(run.seed, stream)
-    run.tally.input_s = now() - started
-    for _ in range(REPS):
-        started = now()
-        cluster = Cluster(run)
-        try:
-            await cluster.start()
-            for chunk in preload:
-                await cluster.clients[1].update_batch("bench", chunk)
-            await cluster.clients[1].flush("bench")
-            run.tally.boot_s.append(now() - started)
-            await _cluster_reads_phase(run, cluster, stream, preload, writes, mix)
-        finally:
-            await cluster.stop()
-
-
-async def _cluster_reads_phase(run, cluster, stream, preload, writes, mix) -> None:
-    tally = run.tally
-    kinds, candidates, labels = mix
-    reader, writer = cluster.clients
-
-    def read(i: int):
-        i %= len(kinds)
-        if kinds[i] == 0:
-            return reader.subset_sum("bench", candidates[i % len(candidates)])
-        if kinds[i] == 1:
-            return reader.top_k("bench", 10)
-        return reader.estimate("bench", labels[i])
-
-    for i in range(WARMUP_READS):  # discarded: first gathers, lazy dials
-        await read(i)
-    written = [0, 0]  # chunks, rows
-
-    async def write(i: int) -> None:
-        chunk = writes[written[0] % len(writes)]
-        await writer.update_batch("bench", chunk)
-        written[0] += 1
-        written[1] += len(chunk)
-
-    with run.measuring():
-        stop = asyncio.Event()
-        began = now()
-        writer_task = asyncio.create_task(
-            open_loop(run, 20.0, stop, write, "loadgen.write", tally.commit_s)
-        )
-        reader_task = asyncio.create_task(
-            closed_loop(run, stop, read, "loadgen.read", tally.query_s)
-        )
-        await asyncio.sleep(run.seconds / REPS)
-        stop.set()
-        reads = await reader_task
-        read_elapsed = now() - began
-        await writer_task
-        applied = await writer.flush("bench")
-        elapsed = now() - began
-    tally.read_rates.append(reads / read_elapsed)
-    tally.ingest_rates.append(written[1] / elapsed)
-    tally.rows_sent += written[1]
-    counts = sent_counts(stream, preload, len(preload), CLUSTER_LABELS)
-    counts += sent_counts(stream, writes, written[0], CLUSTER_LABELS)
-    await cluster.verify(len(stream) + written[1], counts, applied)
 
 
 # ----------------------------------------------------------------------
@@ -510,15 +467,14 @@ async def pipeline_windowed(run: Run) -> None:
     A repetition is a whole drain, so the offsets check always applies;
     drains repeat until the run has measured ``seconds``.
     """
-    started = now()
-    rows = bursty_soak_stream(
-        SOAK_ROWS_PER_HOUR, hours=SOAK_HOURS, num_items=SOAK_LABELS,
-        rng=np.random.default_rng(run.seed),
-    )
-    counts = np.bincount([row[0] for row in rows])
-    source = PolledSource(load_log(rows, SYSTEM_SEED))
-    del rows
-    run.tally.input_s = now() - started
+    def make():
+        rows = bursty_soak_stream(
+            SOAK_ROWS_PER_HOUR, hours=SOAK_HOURS, num_items=SOAK_LABELS,
+            rng=np.random.default_rng(run.seed),
+        )
+        return np.bincount([row[0] for row in rows]), PolledSource(load_log(rows, SYSTEM_SEED))
+
+    counts, source = build_inputs(run, make)
     checkpoint = run.out_dir / f"pipeline-{os.getpid()}.ckpt"
     measured = 0.0
     try:
@@ -586,6 +542,5 @@ async def _pipeline_phase(run, client, source, counts, checkpoint) -> float:
 WORKLOADS: Dict[str, Callable[[Run], Any]] = {
     "serve_inproc": serve_inproc,
     "cluster_ingest": cluster_ingest,
-    "cluster_reads": cluster_reads,
     "pipeline_windowed": pipeline_windowed,
 }
