@@ -694,17 +694,12 @@ class ClusterRouter(JsonLinesEndpoint):
     ) -> List[Tuple[Dict[Any, float], float]]:
         """Per-shard ``(bins, total_weight)`` for the unbiased gather-merge."""
 
-        async def one(index: int) -> Tuple[Dict[Any, float], float]:
-            pairs = await self._forward(route, index, "estimates")
-            total = await self._forward(route, index, "total")
-            return (
-                protocol.decode_pairs(pairs["pairs"]),
-                float(total["estimate"]),
-            )
-
-        return list(
-            await asyncio.gather(*(one(index) for index, _, _ in route.slots()))
-        )
+        # One ``estimates`` read per shard carries both the bins and the
+        # total, so each pair comes from a single member-side snapshot.
+        return [
+            (protocol.decode_pairs(result["pairs"]), float(result["total"]))
+            for result in await self._forward_all(route, "estimates")
+        ]
 
     @staticmethod
     def _sum_scalars(results: Sequence[Dict[str, Any]]) -> Dict[str, float]:
@@ -981,15 +976,11 @@ class ClusterRouter(JsonLinesEndpoint):
 
     async def _op_update_batch(self, request: Dict[str, Any]) -> Dict[str, Any]:
         route = self._route(request)
-        raw_items = request.get("items")
-        if not isinstance(raw_items, list):
-            raise InvalidParameterError("'items' must be a JSON array of labels")
-        passthrough = dict(
-            weights=request.get("weights"),
-            timestamps=request.get("timestamps"),
-            block=request.get("block"),
-        )
-        non_blocking = request.get("block") is False
+        # Validated before any send, so a malformed batch is refused
+        # whole; the wire values then travel to the shards unchanged.
+        items, weights, timestamps = protocol.check_rows(request)
+        block = request.get("block")
+        non_blocking = block is False
         if not route.sharded:
             if non_blocking and route.migrating(0):
                 raise RouteMovedError(
@@ -997,15 +988,16 @@ class ClusterRouter(JsonLinesEndpoint):
                     "nothing was enqueued — retry after the move"
                 )
             return await self._forward(
-                route, 0, "update_batch", items=raw_items, **passthrough
+                route,
+                0,
+                "update_batch",
+                items=items,
+                weights=weights,
+                timestamps=timestamps,
+                block=block,
             )
-        items = [protocol.decode_item(item) for item in raw_items]
         slices = scatter_batch(
-            items,
-            request.get("weights"),
-            request.get("timestamps"),
-            route.shards,
-            seed=route.seed,
+            items, weights, timestamps, route.shards, seed=route.seed
         )
         sends = [
             (index, shard_items, shard_weights, shard_ts)
@@ -1026,10 +1018,10 @@ class ClusterRouter(JsonLinesEndpoint):
                     route,
                     index,
                     "update_batch",
-                    items=[protocol.encode_item(item) for item in shard_items],
+                    items=shard_items,
                     weights=shard_weights,
                     timestamps=shard_ts,
-                    block=request.get("block"),
+                    block=block,
                 )
                 for index, shard_items, shard_weights, shard_ts in sends
             )
@@ -1065,7 +1057,10 @@ class ClusterRouter(JsonLinesEndpoint):
         pairs: List[List[Any]] = []
         for result in results:
             pairs.extend(result["pairs"])
-        return {"pairs": pairs}
+        return {
+            "pairs": pairs,
+            "total": float(sum(result["total"] for result in results)),
+        }
 
     async def _op_subset_sum(self, request: Dict[str, Any]) -> Dict[str, Any]:
         route = self._route(request)

@@ -38,6 +38,7 @@ from repro.core.merge import merge_many_unbiased
 from repro.core.unbiased_space_saving import UnbiasedSpaceSaving
 from repro.distributed.partition import stable_shard
 from repro.errors import InvalidParameterError
+from repro.serve.protocol import decode_item
 
 __all__ = ["SessionRoute", "scatter_batch", "merge_shard_states", "ranked_pairs"]
 
@@ -151,14 +152,14 @@ class SessionRoute:
 
 
 def scatter_batch(
-    items: Sequence[Item],
+    items: Sequence[Any],
     weights: Optional[Sequence[float]],
     timestamps: Optional[Sequence[float]],
     num_shards: int,
     *,
     seed: int = 0,
-) -> List[Tuple[List[Item], Optional[List[float]], Optional[List[float]]]]:
-    """Partition an aligned batch by item hash, keeping all three columns.
+) -> List[Tuple[List[Any], Optional[List[float]], Optional[List[float]]]]:
+    """Partition an aligned batch of wire rows by label hash.
 
     The timestamped sibling of
     :func:`repro.distributed.partition.hash_partition_batch` (windowed
@@ -166,6 +167,13 @@ def scatter_batch(
     ``(items, weights, timestamps)`` triple per shard, preserving the
     within-shard arrival order.  Empty shards come back with empty lists
     so callers can skip the network round trip entirely.
+
+    ``items`` are wire values (a tuple label arrives as its JSON array)
+    and every column is forwarded unchanged; each row is placed by
+    :func:`stable_shard` of its decoded label.  Each distinct label is
+    hashed once per batch, memoized on its ``repr`` — the string the
+    hash digests — so ``1``, ``1.0`` and ``True``, equal as dict keys,
+    keep their distinct placements.
     """
     if num_shards < 1:
         raise InvalidParameterError(f"num_shards must be >= 1, got {num_shards}")
@@ -175,20 +183,25 @@ def scatter_batch(
                 f"items and {label} must align: got {len(items)} items "
                 f"and {len(column)} {label}"
             )
-    part_items: List[List[Item]] = [[] for _ in range(num_shards)]
-    part_weights: Optional[List[List[float]]] = (
-        None if weights is None else [[] for _ in range(num_shards)]
-    )
-    part_ts: Optional[List[List[float]]] = (
-        None if timestamps is None else [[] for _ in range(num_shards)]
-    )
-    for index, item in enumerate(items):
-        shard = stable_shard(item, num_shards, seed=seed)
-        part_items[shard].append(item)
-        if part_weights is not None:
-            part_weights[shard].append(float(weights[index]))
-        if part_ts is not None:
-            part_ts[shard].append(float(timestamps[index]))
+    placed: Dict[str, int] = {}
+    row_shards: List[int] = []
+    for raw in items:
+        item = decode_item(raw) if type(raw) is list else raw
+        key = repr(item)
+        shard = placed.get(key)
+        if shard is None:
+            shard = placed[key] = stable_shard(item, num_shards, seed=seed)
+        row_shards.append(shard)
+
+    def split(column: Sequence[Any]) -> List[List[Any]]:
+        parts: List[List[Any]] = [[] for _ in range(num_shards)]
+        for shard, value in zip(row_shards, column):
+            parts[shard].append(value)
+        return parts
+
+    part_items = split(items)
+    part_weights = None if weights is None else split(weights)
+    part_ts = None if timestamps is None else split(timestamps)
     return [
         (
             part_items[shard],

@@ -13,6 +13,7 @@ and benchmarks can exercise the friendly and unfriendly cases alike.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import struct
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
@@ -30,13 +31,20 @@ __all__ = [
 ]
 
 
+@functools.lru_cache(maxsize=None)
+def _keyed_hasher(seed: int):
+    """The empty blake2b state keyed by ``seed``, built once per seed.
+
+    Keying costs a compression block, so each label hash copies this
+    state instead of re-keying.
+    """
+    return hashlib.blake2b(digest_size=8, key=seed.to_bytes(8, "little", signed=False))
+
+
 def _stable_hash(item: Item, seed: int) -> int:
-    digest = hashlib.blake2b(
-        repr(item).encode("utf-8"),
-        digest_size=8,
-        key=seed.to_bytes(8, "little", signed=False),
-    ).digest()
-    return struct.unpack("<Q", digest)[0]
+    hasher = _keyed_hasher(seed).copy()
+    hasher.update(repr(item).encode("utf-8"))
+    return struct.unpack("<Q", hasher.digest())[0]
 
 
 def stable_hash_64(item: Item, *, seed: int = 0) -> int:

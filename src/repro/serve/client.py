@@ -560,11 +560,9 @@ class TCPServeClient:
             "update_batch",
             session=name,
             tenant=tenant,
-            items=[protocol.encode_item(item) for item in items],
-            weights=None if weights is None else [float(w) for w in weights],
-            timestamps=None
-            if timestamps is None
-            else [float(ts) for ts in timestamps],
+            items=protocol.encode_items(items),
+            weights=protocol.encode_reals(weights),
+            timestamps=protocol.encode_reals(timestamps),
             block=block,
         )
         return int(result["enqueued"])
@@ -615,7 +613,7 @@ class TCPServeClient:
                 "subset_sum",
                 session=name,
                 tenant=tenant,
-                candidates=[protocol.encode_item(item) for item in candidates],
+                candidates=protocol.encode_items(candidates),
             )
         )
 

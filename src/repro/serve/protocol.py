@@ -25,11 +25,11 @@ integer and tuple labels.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Iterable, List, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.errors import SerializationError
+from repro.errors import InvalidParameterError, SerializationError
 
 __all__ = [
     "WIRE_VERSION",
@@ -38,6 +38,10 @@ __all__ = [
     "decode_line",
     "encode_item",
     "decode_item",
+    "encode_items",
+    "encode_reals",
+    "decode_items",
+    "check_rows",
     "encode_pairs",
     "decode_pairs",
     "ok_response",
@@ -106,6 +110,113 @@ def decode_item(payload: Any) -> Any:
     if isinstance(payload, list):
         return tuple(decode_item(part) for part in payload)
     return payload
+
+
+def _numeric_column(values: Any) -> bool:
+    """Whether ``values`` is a 1-D bool/int/uint/float numpy array."""
+    return (
+        isinstance(values, np.ndarray)
+        and values.ndim == 1
+        and values.dtype.kind in "biuf"
+    )
+
+
+def encode_items(items: Iterable[Any]) -> List[Any]:
+    """:func:`encode_item` over a label column.
+
+    A numeric numpy column lowers in one ``tolist()`` pass, which yields
+    exactly the Python scalars :func:`encode_item` would, so the wire
+    line is byte-identical; any other iterable goes label by label.
+    """
+    if _numeric_column(items):
+        return items.tolist()
+    return [encode_item(item) for item in items]
+
+
+def encode_reals(values: Optional[Iterable[Any]]) -> Optional[List[float]]:
+    """A weight or timestamp column as Python floats (``None`` passes)."""
+    if values is None:
+        return None
+    if _numeric_column(values):
+        return values.astype(np.float64, copy=False).tolist()
+    return [float(value) for value in values]
+
+
+def decode_items(payload: List[Any]) -> List[Any]:
+    """:func:`decode_item` over a label column.
+
+    Only arrays change under decoding, so a column without any is
+    returned as is.
+    """
+    if list not in set(map(type, payload)):
+        return payload
+    return [decode_item(item) for item in payload]
+
+
+#: JSON value types that are labels as they stand (arrays are tuples).
+_SCALAR_LABELS = frozenset((int, float, str, bool, type(None)))
+#: JSON value types a weight or timestamp may take (``bool`` is not one).
+_REALS = frozenset((int, float))
+
+
+def _check_labels(labels: List[Any]) -> None:
+    kinds = set(map(type, labels))
+    if kinds <= _SCALAR_LABELS:
+        return
+    for label in labels:
+        kind = type(label)
+        if kind is list:
+            _check_labels(label)
+        elif kind not in _SCALAR_LABELS:
+            raise SerializationError(
+                f"item label {label!r} ({kind.__name__}) is outside the wire "
+                "protocol's label domain (int, float, str, bool, null, arrays "
+                "thereof)"
+            )
+
+
+def _check_reals(field: str, values: List[Any]) -> None:
+    if not set(map(type, values)) <= _REALS:
+        bad = next(value for value in values if type(value) not in _REALS)
+        raise InvalidParameterError(
+            f"'{field}' must hold finite real numbers, got {bad!r}"
+        )
+    try:
+        finite = bool(np.isfinite(np.asarray(values, dtype=np.float64)).all())
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise InvalidParameterError(f"'{field}' must hold finite real numbers")
+
+
+def check_rows(
+    request: Dict[str, Any],
+) -> Tuple[List[Any], Optional[List[Any]], Optional[List[Any]]]:
+    """The validated wire columns ``(items, weights, timestamps)`` of a batch.
+
+    Checks an ``update_batch`` request at the boundary, before anything
+    is enqueued: every label lies in the wire label domain
+    (:class:`SerializationError` otherwise); ``weights`` and
+    ``timestamps`` are ``null`` or arrays aligned with ``items``, holding
+    finite real numbers and no booleans (:class:`InvalidParameterError`
+    otherwise).  The columns come back as the wire values, undecoded.
+    """
+    items = request.get("items")
+    if not isinstance(items, list):
+        raise InvalidParameterError("'items' must be a JSON array of labels")
+    _check_labels(items)
+    columns = []
+    for field in ("weights", "timestamps"):
+        values = request.get(field)
+        if values is not None:
+            if not isinstance(values, list) or len(values) != len(items):
+                raise InvalidParameterError(
+                    f"'{field}' must be null or an array aligned with "
+                    f"'items' ({len(items)} rows)"
+                )
+            _check_reals(field, values)
+        columns.append(values)
+    return items, columns[0], columns[1]
 
 
 def encode_pairs(groups: "Dict[Any, float] | Iterable[Tuple[Any, float]]") -> List[List[Any]]:

@@ -306,13 +306,8 @@ class SketchServer(JsonLinesEndpoint):
 
     @staticmethod
     def _decode_rows(request: Dict[str, Any]):
-        items = request.get("items")
-        if not isinstance(items, list):
-            raise InvalidParameterError("'items' must be a JSON array of labels")
-        decoded = [protocol.decode_item(item) for item in items]
-        weights = request.get("weights")
-        timestamps = request.get("timestamps")
-        return decoded, weights, timestamps
+        items, weights, timestamps = protocol.check_rows(request)
+        return protocol.decode_items(items), weights, timestamps
 
     # -- ops -----------------------------------------------------------
     async def _op_ping(self, request: Dict[str, Any]) -> Dict[str, Any]:
@@ -396,7 +391,12 @@ class SketchServer(JsonLinesEndpoint):
 
     async def _op_estimates(self, request: Dict[str, Any]) -> Dict[str, Any]:
         served = self._served(request)
-        return {"pairs": protocol.encode_pairs(served.estimates())}
+        # The total rides along so a gather reads bins and total from one
+        # snapshot: no batch can land between the two reads.
+        return {
+            "pairs": protocol.encode_pairs(served.estimates()),
+            "total": served.total().estimate,
+        }
 
     async def _op_subset_sum(self, request: Dict[str, Any]) -> Dict[str, Any]:
         served = self._served(request)

@@ -4,15 +4,20 @@ The ring is a pure function of ``(member set, replicas, seed)``, so its
 contracts can be stated over arbitrary memberships and keys: ownership is
 order- and construction-independent, removal re-homes exactly the removed
 member's keys, and the preference walk is a permutation starting at the
-owner.
+owner.  The router's ``scatter_batch`` over wire values places every row
+exactly where the per-row label hash does.
 """
 
 from __future__ import annotations
 
+import json
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster import HashRing
+from repro.cluster import HashRing, scatter_batch
+from repro.distributed.partition import stable_shard
+from repro.serve.protocol import decode_item, encode_item
 
 member_sets = st.sets(
     st.text(alphabet="abcdefgh0123456789", min_size=1, max_size=8),
@@ -65,3 +70,56 @@ def test_preference_is_a_permutation_starting_at_the_owner(members, seed):
     order = ring.preference(key)
     assert order[0] == ring.owner(key)
     assert sorted(order) == sorted(members)
+
+
+#: Labels equal as dict keys but with distinct reprs, hence distinct
+#: placements; drawn often so one batch mixes them.
+TWINS = [1, 1.0, True, 0, 0.0, -0.0, False, (1,), (1.0,), (True,), (-0.0, None)]
+#: Mixed labels in the wire domain: ints, floats, strs, ``None`` and
+#: nested tuples (which travel as JSON arrays).
+labels = st.one_of(
+    st.sampled_from(TWINS),
+    st.recursive(
+        st.one_of(
+            st.integers(-(2**70), 2**70),
+            st.floats(allow_nan=False),
+            st.text(max_size=6),
+            st.none(),
+            st.booleans(),
+        ),
+        lambda inner: st.lists(inner, max_size=3).map(tuple),
+        max_leaves=6,
+    ),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    rows=st.lists(labels, max_size=60),
+    shards=st.integers(1, 6),
+    seed=st.integers(0, 2**16),
+    columns=st.booleans(),
+)
+def test_scatter_over_wire_values_matches_per_row_placement(rows, shards, seed, columns):
+    wire = json.loads(json.dumps([encode_item(label) for label in rows]))
+    # Integer and float values both occur on the wire; neither is coerced.
+    weights = [index if index % 2 else 1.5 * index for index in range(len(wire))]
+    timestamps = [0.5 * index for index in range(len(wire))]
+    if not columns:
+        weights = timestamps = None
+    slices = scatter_batch(wire, weights, timestamps, shards, seed=seed)
+    assert len(slices) == shards
+    expected = [
+        stable_shard(decode_item(raw), shards, seed=seed) for raw in wire
+    ]
+    for shard, (items, shard_weights, shard_ts) in enumerate(slices):
+        owned = [index for index, owner in enumerate(expected) if owner == shard]
+        # Placement and within-shard order, with every value forwarded as is.
+        assert len(items) == len(owned)
+        assert all(item is wire[index] for item, index in zip(items, owned))
+        if columns:
+            assert len(shard_weights) == len(shard_ts) == len(owned)
+            assert all(w is weights[i] for w, i in zip(shard_weights, owned))
+            assert all(t is timestamps[i] for t, i in zip(shard_ts, owned))
+        else:
+            assert shard_weights is None and shard_ts is None

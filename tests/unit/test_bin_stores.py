@@ -256,7 +256,10 @@ class TestColumnarStoreSpecifics:
             )
             assert dict(one.items()) == dict(batch.items())
 
-    def test_kernel_property_and_resolution(self):
+    def test_kernel_property_and_resolution(self, monkeypatch):
+        # The default is asserted with REPRO_KERNEL unset, whatever the
+        # environment running the suite selects.
+        monkeypatch.delenv("REPRO_KERNEL", raising=False)
         assert make_columnar().kernel == "numpy"
         assert make_columnar(kernel="reference").kernel == "reference"
         with pytest.raises(InvalidParameterError):

@@ -26,7 +26,7 @@ from repro.cluster import (
     ring_delta,
     scatter_batch,
 )
-from repro.distributed.partition import stable_shard
+from repro.distributed.partition import stable_hash_64, stable_shard
 from repro.errors import ClusterError, InvalidParameterError
 
 KEYS = [("default", f"session-{i}") for i in range(10_000)]
@@ -136,6 +136,59 @@ class TestClusterMembership:
         assert membership.get("m0").port == 9
         with pytest.raises(ClusterError):
             membership.get("nope")
+
+
+# ----------------------------------------------------------------------
+# Golden placement: label hashes, shard indices and ring owners are part
+# of every persisted cluster layout, so they must never drift.
+# ----------------------------------------------------------------------
+GOLDEN_LABELS = [
+    0, 1, 1.0, True, None, -0.0, 0.0, "ad1", "", "é", 12345678901234567890,
+    2.5, ("ads", "clicks"), (1, ("a", None)), (),
+]
+GOLDEN_HASHES = {
+    0: [
+        14780026797352252294, 13023464190936678762, 14112788809735234310,
+        6642783930405202930, 10383637831379799427, 18337499228611523371,
+        15225915708106785005, 7637014787574672639, 8617314766712860819,
+        8267574197842064359, 17114781643531705949, 13108207371932593900,
+        10248248627560121140, 3319850268172117103, 2300707079068865448,
+    ],
+    2: [
+        4785763868307444063, 14325386013059409168, 2448416109770719244,
+        16874987497680980774, 13631016196591114417, 1372114270697127535,
+        13812298670774208666, 15860405409250581423, 11706368276022546460,
+        12259766695997670670, 9123019438857345286, 10734591815431597258,
+        8311474810570056951, 5296403328692628666, 16710165845789966698,
+    ],
+}
+GOLDEN_SHARDS_OF_7 = {
+    0: [5, 3, 6, 0, 0, 5, 2, 6, 2, 2, 4, 0, 4, 4, 2],
+    2: [6, 6, 2, 1, 5, 4, 5, 6, 5, 2, 6, 5, 0, 3, 1],
+}
+
+
+class TestGoldenPlacement:
+    @pytest.mark.parametrize("seed", [0, 2])
+    def test_stable_hash_and_shard_values(self, seed):
+        assert [stable_hash_64(label, seed=seed) for label in GOLDEN_LABELS] == (
+            GOLDEN_HASHES[seed]
+        )
+        assert [stable_shard(label, 7, seed=seed) for label in GOLDEN_LABELS] == (
+            GOLDEN_SHARDS_OF_7[seed]
+        )
+
+    def test_ring_owners(self):
+        ring = HashRing(["m0", "m1", "m2"], seed=7)
+        keys = [("default", f"s@shard{i}") for i in range(8)] + [("ads", "clicks")]
+        assert [ring.owner(key) for key in keys] == [
+            "m2", "m1", "m2", "m2", "m0", "m2", "m2", "m2", "m0",
+        ]
+        assert ring.preference(("ads", "clicks")) == ["m0", "m1", "m2"]
+        ring = HashRing(["m0", "m1", "m2", "m3"], replicas=16, seed=0)
+        assert [ring.owner(("t", f"k{i}")) for i in range(12)] == [
+            "m3", "m1", "m1", "m1", "m1", "m1", "m2", "m1", "m1", "m2", "m2", "m3",
+        ]
 
 
 # ----------------------------------------------------------------------
