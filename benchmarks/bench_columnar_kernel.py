@@ -12,10 +12,8 @@ isolates a single phase of :meth:`ColumnarCounterStore.apply_batch`:
   the label map, on both the sorted-searchsorted integer fast path and
   the generic dict-walk fallback.
 
-Where a phase dispatches through a sweep kernel, numpy and numba
-variants are both benchmarked; the numba cases skip cleanly on runners
-without numba (the flag degrades to numpy there, so the numpy number is
-the relevant one anyway).
+Where a phase dispatches through a sweep kernel, the numpy kernel is
+benchmarked against the ``reference`` executable spec.
 
 Run with::
 
@@ -29,18 +27,12 @@ import pytest
 
 from repro.core.columnar import (
     ColumnarCounterStore,
-    _load_numba_sweep,
     _sweep_numpy,
     _sweep_reference,
 )
 
 CAPACITY = 256
 BATCH = 20_000
-
-requires_numba = pytest.mark.skipif(
-    _load_numba_sweep() is None, reason="numba is not installed"
-)
-
 
 def make_store(kernel: str, *, labels=None) -> ColumnarCounterStore:
     store = ColumnarCounterStore(
@@ -49,8 +41,7 @@ def make_store(kernel: str, *, labels=None) -> ColumnarCounterStore:
         kernel=kernel,
     )
     if labels is not None:
-        for position, label in enumerate(labels):
-            store.insert(label, float(position + 1))
+        store.load(labels, np.arange(1, len(labels) + 1, dtype=np.float64))
     return store
 
 
@@ -89,13 +80,6 @@ def test_scatter_add_numpy(benchmark, resident_labels, present_batch):
     assert len(store) == CAPACITY
 
 
-@requires_numba
-def test_scatter_add_numba(benchmark, resident_labels, present_batch):
-    store = make_store("numba", labels=resident_labels)
-    benchmark(_scatter, store, present_batch)
-    assert len(store) == CAPACITY
-
-
 # ----------------------------------------------------------------------
 # Min-replacement sweep (all-absent batch on a full store)
 # ----------------------------------------------------------------------
@@ -108,12 +92,6 @@ def _contest_round(kernel, resident_labels, batch):
 
 def test_min_replacement_sweep_numpy(benchmark, resident_labels, absent_batch):
     store = benchmark(_contest_round, "numpy", resident_labels, absent_batch)
-    assert len(store) == CAPACITY
-
-
-@requires_numba
-def test_min_replacement_sweep_numba(benchmark, resident_labels, absent_batch):
-    store = benchmark(_contest_round, "numba", resident_labels, absent_batch)
     assert len(store) == CAPACITY
 
 
@@ -141,13 +119,6 @@ def sweep_inputs():
 
 def test_raw_sweep_numpy(benchmark, sweep_inputs):
     slots, accepted, levels = benchmark(_raw_sweep, _sweep_numpy, *sweep_inputs)
-    assert slots.size == 2_000
-
-
-@requires_numba
-def test_raw_sweep_numba(benchmark, sweep_inputs):
-    sweep = _load_numba_sweep()
-    slots, accepted, levels = benchmark(_raw_sweep, sweep, *sweep_inputs)
     assert slots.size == 2_000
 
 

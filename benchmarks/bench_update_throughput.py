@@ -540,14 +540,9 @@ def run_ingestion_comparison(
     # ingestion, not session passthrough (which test_throughput_session_facade
     # times separately).
     def scalar() -> UnbiasedSpaceSaving:
-        # Pinned to the historical scalar object store: "scalar" is the
-        # machine-speed reference the normalized gate divides by, so it
-        # must keep measuring the per-row linked-node loop even now that
-        # the default store is the columnar kernel.
-        sketch = build(
-            "unbiased_space_saving", size=capacity, seed=seed,
-            store="stream_summary",
-        ).estimator
+        # The per-row update() loop on the default store: "scalar" is the
+        # machine-speed reference the normalized gate divides by.
+        sketch = build("unbiased_space_saving", size=capacity, seed=seed).estimator
         update = sketch.update
         for row in scalar_rows:
             update(row)

@@ -104,8 +104,8 @@ def build(
     merge_method:
         Reduction used by ``session.merged()`` on scale-out backends.
     params:
-        Spec-specific extras (e.g. ``store=`` for the Space Saving family,
-        ``depth=`` for the hashed sketches); unknown names raise
+        Spec-specific extras (e.g. ``depth=`` for the hashed sketches,
+        ``epsilon=`` for Lossy Counting); unknown names raise
         :class:`~repro.errors.InvalidParameterError`.
     """
     sketch_spec = get_spec(spec)

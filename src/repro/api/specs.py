@@ -136,10 +136,6 @@ def iter_specs() -> Tuple[SketchSpec, ...]:
 # ----------------------------------------------------------------------
 # Built-in specs
 # ----------------------------------------------------------------------
-def _uss_factory(cls, size, seed, params):
-    return cls(size, seed=seed, store=params.pop("store", "auto"))
-
-
 def _adaptive_uss_factory(cls, size, seed, params):
     return cls(
         size,
@@ -147,10 +143,6 @@ def _adaptive_uss_factory(cls, size, seed, params):
         max_capacity=params.pop("max_capacity", None),
         growth_trigger=params.pop("growth_trigger", None),
     )
-
-
-def _dss_factory(cls, size, seed, params):
-    return cls(size, seed=seed, store=params.pop("store", "columnar"))
 
 
 def _capacity_factory(cls, size, seed, params):
@@ -204,9 +196,8 @@ register_spec(SketchSpec(
     type_name="UnbiasedSpaceSaving",
     summary="the paper's unbiased sketch: point + subset sum + heavy hitters",
     capabilities=frozenset({POINT, SUBSET_SUM, HEAVY_HITTERS, MERGE, SERIALIZE}),
-    factory=_uss_factory,
+    factory=_capacity_factory,
     backends=("inline", "sharded", "parallel"),
-    extra_params=("store",),
 ))
 
 register_spec(SketchSpec(
@@ -224,8 +215,7 @@ register_spec(SketchSpec(
     type_name="DeterministicSpaceSaving",
     summary="classic Space Saving: biased subset sums, frequent-item baseline",
     capabilities=frozenset({POINT, HEAVY_HITTERS, SERIALIZE}),
-    factory=_dss_factory,
-    extra_params=("store",),
+    factory=_capacity_factory,
 ))
 
 register_spec(SketchSpec(

@@ -3,19 +3,13 @@
 The primary public entry point is
 :class:`~repro.core.unbiased_space_saving.UnbiasedSpaceSaving`; the rest of
 the subpackage supplies the baseline Deterministic Space Saving sketch, the
-Stream-Summary data structure, pluggable reductions, merges, variance
-estimation, time decay, adaptive sizing and signed updates.
+columnar counter store, pluggable reductions, merges, variance estimation,
+time decay, adaptive sizing and signed updates.
 """
 
 from repro.core.adaptive import AdaptiveUnbiasedSpaceSaving
 from repro.core.batching import collapse_batch, collapse_batch_arrays
-from repro.core.base import (
-    BinStore,
-    FrequentItemSketch,
-    HeapBinStore,
-    StreamSummaryBinStore,
-    SubsetSumSketch,
-)
+from repro.core.base import FrequentItemSketch, SubsetSumSketch
 from repro.core.columnar import ColumnarCounterStore, available_kernels, resolve_kernel_name
 from repro.core.decay import ForwardDecaySketch, exponential_decay, polynomial_decay
 from repro.core.deterministic_space_saving import DeterministicSpaceSaving
@@ -33,7 +27,6 @@ from repro.core.reduction import (
     ReductionPolicy,
     UnbiasedPairReduction,
 )
-from repro.core.stream_summary import StreamSummary
 from repro.core.unbiased_space_saving import UnbiasedSpaceSaving
 from repro.core.variance import (
     EstimateWithError,
@@ -47,13 +40,10 @@ from repro.core.weighted import SignedUnbiasedSpaceSaving, weighted_stream_to_un
 
 __all__ = [
     "AdaptiveUnbiasedSpaceSaving",
-    "BinStore",
     "ColumnarCounterStore",
     "available_kernels",
     "resolve_kernel_name",
     "FrequentItemSketch",
-    "HeapBinStore",
-    "StreamSummaryBinStore",
     "SubsetSumSketch",
     "ForwardDecaySketch",
     "exponential_decay",
@@ -69,7 +59,6 @@ __all__ = [
     "PPSReduction",
     "ReductionPolicy",
     "UnbiasedPairReduction",
-    "StreamSummary",
     "UnbiasedSpaceSaving",
     "EstimateWithError",
     "coverage",

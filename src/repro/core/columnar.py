@@ -1,10 +1,9 @@
 """Columnar (struct-of-arrays) counter store and its vectorized batch kernel.
 
-The scalar stores in :mod:`repro.core.base` keep one Python object per bin
-(linked bucket nodes, heap entries), so even the collapsed
-``update_batch`` path ends up walking Python objects once per distinct
-item.  :class:`ColumnarCounterStore` holds the same ``(label, count)``
-bins in plain contiguous arrays:
+:class:`ColumnarCounterStore` is the one counter store behind Unbiased and
+Deterministic Space Saving.  It holds the ``(label, count)`` bins in plain
+contiguous arrays rather than one Python object per bin, so the collapsed
+``update_batch`` path never walks per-bin objects:
 
 * ``_counts`` — ``float64[capacity]`` counter values (free slots hold
   ``+inf`` so they never win a minimum scan);
@@ -19,9 +18,9 @@ bins in plain contiguous arrays:
 Randomized tie-breaking
 -----------------------
 The paper's analysis assumes ties among minimum bins are broken uniformly
-at random.  The scalar stores implement that with ``rng.choice`` over the
-tied labels, which consumes a data-dependent number of random draws — a
-shape that cannot be vectorized or pre-drawn.  The columnar store uses an
+at random.  Drawing a uniform pick over the tied labels at query time
+(``rng.choice``) would consume a data-dependent number of random draws —
+a shape that cannot be vectorized or pre-drawn.  The store uses an
 equivalent *priority* discipline instead: every count change also assigns
 the bin a fresh uniform priority, and the minimum bin is the
 lexicographic minimum of ``(count, priority, slot)``.  Because every bin
@@ -67,33 +66,30 @@ iteration per contest.
 
 Kernels and the ``REPRO_KERNEL`` flag
 -------------------------------------
-Three interchangeable sweep kernels implement the discipline above:
+Two interchangeable sweep kernels implement the discipline above:
 
 * ``numpy`` (default) — the vectorized level sweep;
-* ``numba`` — a JIT-compiled per-contest loop, selected with
-  ``REPRO_KERNEL=numba``; when numba is not importable the store falls
-  back to the numpy kernel silently (the flag is a request, not a hard
-  dependency);
 * ``reference`` — an intentionally naive pure-Python per-contest loop
   (linear minimum scans, one contest at a time) that serves as the
-  executable specification.  The equivalence suite drives identical
-  seeded workloads through ``reference`` and the fast kernels and
-  asserts bit-identical states.
+  executable specification, selected with ``REPRO_KERNEL=reference``.
+  The equivalence suite drives identical seeded workloads through both
+  kernels and asserts bit-identical states.
 
-All kernels consume the same pre-drawn randomness block, so their
+Both kernels consume the same pre-drawn randomness block, so their
 outputs are bit-identical, not merely distributionally equal.
 """
 
 from __future__ import annotations
 
 import os
+import random
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro._typing import Item
-from repro.core.base import BinStore
-from repro.errors import EmptySketchError, InvalidParameterError
+from repro.errors import EmptySketchError, InvalidParameterError, SerializationError
+from repro.io.codec import decode_item, encode_item, rng_state_from_jsonable
 
 __all__ = [
     "ColumnarCounterStore",
@@ -106,10 +102,7 @@ __all__ = [
 FREE_SLOT = np.inf
 
 #: The kernel names ``REPRO_KERNEL`` accepts.
-_KERNELS = ("numpy", "numba", "reference")
-
-_NUMBA_SWEEP: Optional[object] = None
-_NUMBA_PROBED = False
+_KERNELS = ("numpy", "reference")
 
 
 def available_kernels() -> Tuple[str, ...]:
@@ -117,66 +110,18 @@ def available_kernels() -> Tuple[str, ...]:
     return _KERNELS
 
 
-def _load_numba_sweep():
-    """Compile the numba sweep once, returning ``None`` when numba is absent."""
-    global _NUMBA_SWEEP, _NUMBA_PROBED
-    if _NUMBA_PROBED:
-        return _NUMBA_SWEEP
-    _NUMBA_PROBED = True
-    try:
-        import numba
-    except ImportError:
-        _NUMBA_SWEEP = None
-        return None
-
-    @numba.njit(cache=False)
-    def _sweep_numba(counts, prio, step_weights, r_draws, u_draws, always_replace):
-        kr = step_weights.shape[0]
-        m = counts.shape[0]
-        slots = np.empty(kr, dtype=np.int64)
-        accepted = np.empty(kr, dtype=np.bool_)
-        levels = np.empty(kr, dtype=np.float64)
-        for t in range(kr):
-            best = 0
-            best_count = counts[0]
-            best_prio = prio[0]
-            for s in range(1, m):
-                c = counts[s]
-                if c < best_count or (c == best_count and prio[s] < best_prio):
-                    best = s
-                    best_count = c
-                    best_prio = prio[s]
-            weight = step_weights[t]
-            new_count = best_count + weight
-            counts[best] = new_count
-            prio[best] = r_draws[t]
-            slots[t] = best
-            levels[t] = best_count
-            if always_replace:
-                accepted[t] = True
-            else:
-                accepted[t] = u_draws[t] * new_count < weight
-        return slots, accepted, levels
-
-    _NUMBA_SWEEP = _sweep_numba
-    return _NUMBA_SWEEP
-
-
 def resolve_kernel_name(requested: Optional[str] = None) -> str:
     """Resolve the active kernel name.
 
     Precedence: the explicit ``requested`` argument, then the
-    ``REPRO_KERNEL`` environment variable, then ``"numpy"``.  Requesting
-    ``numba`` on an interpreter without numba resolves to ``numpy`` — the
-    flag degrades gracefully rather than making numba a dependency.
+    ``REPRO_KERNEL`` environment variable, then ``"numpy"``.  Any other
+    name raises :class:`~repro.errors.InvalidParameterError`.
     """
     name = requested or os.environ.get("REPRO_KERNEL", "").strip() or "numpy"
     if name not in _KERNELS:
         raise InvalidParameterError(
             f"unknown kernel {name!r}; expected one of {_KERNELS}"
         )
-    if name == "numba" and _load_numba_sweep() is None:
-        return "numpy"
     return name
 
 
@@ -276,21 +221,10 @@ def _sweep_reference(counts, prio, step_weights, r_draws, u_draws, always_replac
     return slots, accepted, levels
 
 
-def _resolve_sweep(name: str):
-    if name == "numba":
-        sweep = _load_numba_sweep()
-        if sweep is not None:
-            return sweep
-        return _sweep_numpy
-    if name == "reference":
-        return _sweep_reference
-    return _sweep_numpy
-
-
 # ----------------------------------------------------------------------
 # The store
 # ----------------------------------------------------------------------
-class ColumnarCounterStore(BinStore):
+class ColumnarCounterStore:
     """Struct-of-arrays bin store with a vectorized batch-apply kernel.
 
     Parameters
@@ -302,8 +236,8 @@ class ColumnarCounterStore(BinStore):
         acceptance draw.  The owning sketch passes its own generator so
         that serialization can carry the kernel RNG state.
     kernel:
-        Optional explicit kernel name (``numpy`` / ``numba`` /
-        ``reference``); defaults to the ``REPRO_KERNEL`` resolution of
+        Optional explicit kernel name (``numpy`` / ``reference``);
+        defaults to the ``REPRO_KERNEL`` resolution of
         :func:`resolve_kernel_name`.
     track_errors:
         When true the store maintains a per-slot acquisition-error array
@@ -324,8 +258,8 @@ class ColumnarCounterStore(BinStore):
         self._generator = generator if generator is not None else np.random.Generator(
             np.random.PCG64()
         )
-        self._kernel_name = resolve_kernel_name(kernel)
-        self._sweep = _resolve_sweep(self._kernel_name)
+        reference = resolve_kernel_name(kernel) == "reference"
+        self._sweep = _sweep_reference if reference else _sweep_numpy
         self._counts = np.full(self._capacity, FREE_SLOT, dtype=np.float64)
         self._prio = np.zeros(self._capacity, dtype=np.float64)
         self._errors: Optional[np.ndarray] = (
@@ -334,38 +268,15 @@ class ColumnarCounterStore(BinStore):
         self._labels: List[Optional[Item]] = [None] * self._capacity
         self._index: Dict[Item, int] = {}
         # Popping yields ascending slot numbers first, so a fresh store
-        # fills slots 0, 1, 2, ... like the scalar stores fill in order.
+        # fills slots 0, 1, 2, ... in arrival order.
         self._free: List[int] = list(range(self._capacity - 1, -1, -1))
         # True while every stored label is a Python int — the guard for
         # the sorted-searchsorted membership fast path.
         self._int_labels = True
 
-    # -- introspection ---------------------------------------------------
-    @property
-    def capacity(self) -> int:
-        """The fixed slot count."""
-        return self._capacity
-
-    @property
-    def kernel(self) -> str:
-        """The resolved kernel name this store dispatches to."""
-        return self._kernel_name
-
-    @property
-    def generator(self) -> np.random.Generator:
-        """The generator feeding every priority/acceptance draw."""
-        return self._generator
-
-    def tracks_errors(self) -> bool:
-        """Whether the per-slot acquisition-error array is maintained."""
-        return self._errors is not None
-
-    # -- BinStore interface ----------------------------------------------
+    # -- bins ----------------------------------------------------------------
     def __len__(self) -> int:
         return len(self._index)
-
-    def __contains__(self, item: Item) -> bool:
-        return item in self._index
 
     def get(self, item: Item, default: float = 0.0) -> float:
         slot = self._index.get(item)
@@ -373,74 +284,87 @@ class ColumnarCounterStore(BinStore):
             return default
         return float(self._counts[slot])
 
-    def insert(self, item: Item, count: float) -> None:
-        item = self._as_label(item)
-        if item in self._index:
-            raise InvalidParameterError(f"label {item!r} already present")
-        if count < 0:
-            raise InvalidParameterError("counts must be non-negative")
-        if not self._free:
-            raise InvalidParameterError(
-                f"columnar store is full (capacity {self._capacity})"
-            )
-        slot = self._free.pop()
-        self._counts[slot] = float(count)
-        self._prio[slot] = self._generator.random()
-        if self._errors is not None:
-            self._errors[slot] = 0.0
-        self._labels[slot] = item
-        self._index[item] = slot
-
-    def remove(self, item: Item) -> float:
-        slot = self._index.pop(item)
-        count = float(self._counts[slot])
-        self._counts[slot] = FREE_SLOT
-        self._prio[slot] = 0.0
-        self._labels[slot] = None
-        self._free.append(slot)
-        return count
-
-    def increment(self, item: Item, by: float) -> float:
-        if by < 0:
-            raise InvalidParameterError("increment must be non-negative")
-        slot = self._index[item]
-        new_count = float(self._counts[slot] + by)
-        self._counts[slot] = new_count
-        self._prio[slot] = self._generator.random()
-        return new_count
-
-    def increment_batch(self, pairs) -> None:
-        pairs = list(pairs)
-        draws = self._generator.random(len(pairs))
-        counts = self._counts
-        prio = self._prio
-        index = self._index
-        for position, (item, by) in enumerate(pairs):
-            slot = index[item]
-            counts[slot] += by
-            prio[slot] = draws[position]
-
-    def relabel(self, old: Item, new: Item) -> None:
-        new = self._as_label(new)
-        if new in self._index:
-            raise InvalidParameterError(f"label {new!r} already present")
-        slot = self._index.pop(old)
-        self._index[new] = slot
-        self._labels[slot] = new
-
-    def min_label(self) -> Item:
-        slot, _ = self._min_slot()
-        return self._labels[slot]
-
     def min_count(self) -> float:
         if not self._index:
             raise EmptySketchError("bin store is empty")
         return float(self._counts.min())
 
     def items(self) -> Iterator[Tuple[Item, float]]:
-        counts = self._counts
-        for item, slot in self._index.items():
-            yield item, float(counts[slot])
+        return iter(self.counts().items())
+
+    def counts(self) -> Dict[Item, float]:
+        """Snapshot of all bins as a plain dictionary."""
+        return dict(zip(self._index, self._counts[self._slots()].tolist()))
+
+    def load(
+        self,
+        labels: Sequence[Item],
+        counts: Union[Sequence[float], np.ndarray],
+        priorities: Optional[Union[Sequence[float], np.ndarray]] = None,
+        errors: Optional[Union[Sequence[float], np.ndarray]] = None,
+    ) -> None:
+        """Fill an empty store with ``len(labels)`` bins in one call.
+
+        The bulk loader behind ``from_bins`` and :meth:`load_frame`.
+        Bins take slots ``0..n-1`` in the given order, so reloading a
+        store's bins in ``items()`` order with their priorities (and,
+        where tracked, errors) preserves relative slot order — the only
+        slot property the kernel observes — and a restored seeded
+        sketch continues its stream bit-identically.  When
+        ``priorities`` is ``None`` fresh ones come from one
+        ``generator.random(n)`` call; ``errors`` default to zero.
+
+        Raises
+        ------
+        InvalidParameterError
+            If the store is not empty, the columns are misaligned, there
+            are more bins than slots, a label repeats, or a count is
+            negative or not finite.
+        """
+        if self._index:
+            raise InvalidParameterError("load() needs an empty store")
+        labels = list(labels)
+        label_types = set(map(type, labels))
+        if any(issubclass(kind, np.generic) for kind in label_types):
+            labels = [self._as_label(label) for label in labels]
+        elif label_types - {int}:
+            self._int_labels = False
+        n = len(labels)
+        columns = {}
+        for name, column in (
+            ("counts", counts), ("priorities", priorities), ("errors", errors)
+        ):
+            if column is None:
+                continue
+            column = np.asarray(column, dtype=np.float64)
+            if column.shape != (n,):
+                raise InvalidParameterError(
+                    f"{name} has shape {column.shape}; expected ({n},) to "
+                    "align with the labels"
+                )
+            columns[name] = column
+        if n > self._capacity:
+            raise InvalidParameterError(
+                f"cannot place {n} bins into a capacity-{self._capacity} store"
+            )
+        counts = columns["counts"]
+        if not (np.isfinite(counts) & (counts >= 0)).all():
+            raise InvalidParameterError("bin counts must be finite and non-negative")
+        index = dict(zip(labels, range(n)))
+        if len(index) != n:
+            raise InvalidParameterError("bin labels must be distinct")
+        if "errors" in columns and self._errors is None:
+            raise InvalidParameterError("this store does not track acquisition errors")
+        self._counts[:n] = counts
+        if "priorities" in columns:
+            self._prio[:n] = columns["priorities"]
+        else:
+            self._prio[:n] = self._generator.random(n)
+        if self._errors is not None:
+            self._errors[:n] = columns.get("errors", 0.0)
+        self._labels[:n] = labels
+        self._index = index
+        self._free = list(range(self._capacity - 1, n - 1, -1))
 
     # -- acquisition errors (Deterministic Space Saving) ------------------
     def acquisition_error(self, item: Item) -> float:
@@ -466,10 +390,16 @@ class ColumnarCounterStore(BinStore):
             self._counts[slot] += weight
             self._prio[slot] = gen.random()
             return 0
-        if self._free:
-            self.insert(item, weight)
-            return 0
         item = self._as_label(item)
+        if self._free:
+            slot = self._free.pop()
+            self._counts[slot] = weight
+            self._prio[slot] = gen.random()
+            if self._errors is not None:
+                self._errors[slot] = 0.0
+            self._labels[slot] = item
+            index[item] = slot
+            return 0
         slot, level = self._min_slot()
         new_count = level + weight
         self._counts[slot] = new_count
@@ -572,52 +502,53 @@ class ColumnarCounterStore(BinStore):
                     errors[slot] = levels[j]
         return replacements
 
-    # -- serialization hooks ----------------------------------------------
-    def state_rows(self) -> List[Tuple[Item, float, float, float]]:
-        """``(label, count, priority, error)`` rows in ``items()`` order."""
-        errors = self._errors
-        return [
-            (
-                item,
-                float(self._counts[slot]),
-                float(self._prio[slot]),
-                0.0 if errors is None else float(errors[slot]),
-            )
-            for item, slot in self._index.items()
-        ]
+    # -- frames --------------------------------------------------------------
+    def frame(self) -> Tuple[Dict[str, Any], Dict[str, np.ndarray]]:
+        """The bins as :mod:`repro.io` frame metadata and arrays.
 
-    def restore_bin(
-        self, item: Item, count: float, priority: float, error: float = 0.0
-    ) -> None:
-        """Re-create one bin exactly (no draws), used when loading frames.
-
-        Bins are restored in their serialized (``items()``) order, which
-        compacts them into slots ``0..n-1`` while preserving relative slot
-        order — the only slot property the kernel discipline observes —
-        so a restored seeded sketch continues its stream bit-identically.
+        Rows come in ``items()`` order with their exact counts,
+        tie-break priorities and (where tracked) acquisition errors,
+        plus the kernel generator state; :meth:`load_frame` rebuilds an
+        identical store from them.
         """
-        item = self._as_label(item)
-        if item in self._index:
-            raise InvalidParameterError(f"label {item!r} already present")
-        if not self._free:
-            raise InvalidParameterError(
-                f"columnar store is full (capacity {self._capacity})"
-            )
-        slot = self._free.pop()
-        self._counts[slot] = float(count)
-        self._prio[slot] = float(priority)
+        slots = self._slots()
+        meta = {
+            "labels": [encode_item(label) for label in self._index],
+            "kernel_rng_state": self._generator.bit_generator.state,
+        }
+        arrays = {"counts": self._counts[slots], "priorities": self._prio[slots]}
         if self._errors is not None:
-            self._errors[slot] = float(error)
-        self._labels[slot] = item
-        self._index[item] = slot
+            arrays["acquisition_errors"] = self._errors[slots]
+        return meta, arrays
 
-    def generator_state(self) -> Dict[str, Any]:
-        """The kernel generator's bit-generator state (JSON-safe)."""
-        return self._generator.bit_generator.state
+    def load_frame(self, meta: Dict[str, Any], arrays: Dict[str, np.ndarray]) -> None:
+        """Load the bins of a frame written by :meth:`frame` into this store.
 
-    def set_generator_state(self, state: Dict[str, Any]) -> None:
-        """Restore the kernel generator from :meth:`generator_state`."""
+        Frames of the retired scalar stores carry no ``priorities`` and
+        no kernel generator state.  For those the generator is seeded
+        from the frame's own Python RNG state and the priorities are
+        drawn fresh, so loading stays deterministic: every count, label
+        and error restores exactly, and continuation is unbiased though
+        not draw-identical to the writer.  Bins that :meth:`load` refuses
+        raise :class:`~repro.errors.SerializationError`.
+        """
+        priorities = arrays.get("priorities")
+        if priorities is None:
+            legacy_rng = random.Random()
+            legacy_rng.setstate(rng_state_from_jsonable(meta["rng_state"]))
+            state = np.random.PCG64(legacy_rng.getrandbits(128)).state
+        else:
+            state = meta["kernel_rng_state"]
         self._generator.bit_generator.state = state
+        try:
+            self.load(
+                [decode_item(label) for label in meta["labels"]],
+                arrays["counts"],
+                priorities,
+                arrays.get("acquisition_errors"),
+            )
+        except InvalidParameterError as exc:
+            raise SerializationError(f"frame holds invalid bins: {exc}") from exc
 
     # -- internals ---------------------------------------------------------
     def _as_label(self, item: Item) -> Item:
@@ -627,6 +558,10 @@ class ColumnarCounterStore(BinStore):
         if type(item) is not int:
             self._int_labels = False
         return item
+
+    def _slots(self) -> np.ndarray:
+        """Slot indices in ``items()`` order."""
+        return np.fromiter(self._index.values(), dtype=np.int64, count=len(self._index))
 
     def _min_slot(self) -> Tuple[int, float]:
         """The lexicographic ``(count, priority, slot)`` minimum."""

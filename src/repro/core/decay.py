@@ -93,7 +93,7 @@ class ForwardDecaySketch:
     ) -> None:
         self._decay = decay
         self._landmark = float(landmark)
-        self._sketch = UnbiasedSpaceSaving(capacity, seed=seed, store="heap")
+        self._sketch = UnbiasedSpaceSaving(capacity, seed=seed)
         self._latest_timestamp = float(landmark)
 
     # ------------------------------------------------------------------

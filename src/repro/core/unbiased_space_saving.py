@@ -28,22 +28,12 @@ from typing import Dict, Iterable, List, Optional, Tuple
 import numpy as np
 
 from repro._typing import Item, ItemPredicate
-from repro.core.base import (
-    BinStore,
-    HeapBinStore,
-    StreamSummaryBinStore,
-    SubsetSumSketch,
-)
+from repro.core.base import SubsetSumSketch
 from repro.core.batching import collapse_batch, collapse_batch_arrays
 from repro.core.columnar import ColumnarCounterStore
 from repro.core.variance import EstimateWithError, subset_variance_estimate
 from repro.errors import InvalidParameterError, UnsupportedUpdateError
-from repro.io.codec import (
-    decode_item,
-    encode_item,
-    rng_state_from_jsonable,
-    rng_state_to_jsonable,
-)
+from repro.io.codec import rng_state_from_jsonable, rng_state_to_jsonable
 from repro.io.serializable import SerializableSketch
 
 __all__ = ["UnbiasedSpaceSaving"]
@@ -51,6 +41,10 @@ __all__ = ["UnbiasedSpaceSaving"]
 
 class UnbiasedSpaceSaving(SubsetSumSketch, SerializableSketch):
     """Unbiased Space Saving sketch (Algorithm 1 with ``p = 1/(N̂_min + 1)``).
+
+    The counters live in the float-native columnar store of
+    :mod:`repro.core.columnar`, whose priority discipline breaks ties
+    among minimum bins uniformly at random.
 
     Parameters
     ----------
@@ -60,16 +54,6 @@ class UnbiasedSpaceSaving(SubsetSumSketch, SerializableSketch):
         Seed for the internal random generator used for the randomized label
         replacement and for breaking ties among minimum bins.  Fixing the
         seed makes a run fully reproducible.
-    store:
-        ``"auto"`` (default) selects the columnar struct-of-arrays store —
-        float-native, so no migration ever happens — and is equivalent to
-        ``"columnar"``.  ``"stream_summary"`` and ``"heap"`` force the
-        scalar object stores (integer stream summary with heap migration
-        semantics, or the float heap), which keep their historical
-        tie-breaking and draw sequences; seeded results differ between the
-        columnar and scalar stores because the columnar kernel uses the
-        priority-based tie-breaking discipline documented in
-        :mod:`repro.core.columnar`.
 
     Example
     -------
@@ -86,25 +70,12 @@ class UnbiasedSpaceSaving(SubsetSumSketch, SerializableSketch):
         capacity: int,
         *,
         seed: Optional[int] = None,
-        store: str = "auto",
     ) -> None:
         super().__init__(capacity, seed=seed)
-        if store not in ("auto", "columnar", "stream_summary", "heap"):
-            raise InvalidParameterError(
-                f"unknown store {store!r}; expected 'auto', 'columnar', "
-                "'stream_summary' or 'heap'"
-            )
-        self._store_kind = store
-        self._store: BinStore
-        if store in ("auto", "columnar"):
-            self._store = ColumnarCounterStore(
-                self._capacity,
-                generator=np.random.Generator(np.random.PCG64(seed)),
-            )
-        elif store == "heap":
-            self._store = HeapBinStore(rng=self._rng)
-        else:
-            self._store = StreamSummaryBinStore(rng=self._rng)
+        self._store = ColumnarCounterStore(
+            self._capacity,
+            generator=np.random.Generator(np.random.PCG64(seed)),
+        )
         #: number of label replacements performed (useful for diagnostics)
         self._label_replacements = 0
 
@@ -126,23 +97,26 @@ class UnbiasedSpaceSaving(SubsetSumSketch, SerializableSketch):
         Used by the merge and distributed layers, which first reduce a
         combined set of bins down to ``capacity`` (preserving expectations)
         and then need a live sketch that can keep ingesting rows.  Counts may
-        be real-valued (Horvitz-Thompson adjusted), so the heap store is used.
+        be real-valued (Horvitz-Thompson adjusted); zero counts are dropped
+        and the rest load in one bulk call with fresh tie-break priorities.
 
         Raises
         ------
         InvalidParameterError
-            If more bins than ``capacity`` are supplied.
+            If more bins than ``capacity`` are supplied, or a count is
+            negative or not finite.
         """
         if len(bins) > capacity:
             raise InvalidParameterError(
                 f"cannot place {len(bins)} bins into a capacity-{capacity} sketch"
             )
-        sketch = cls(capacity, seed=seed, store="heap")
-        for label, count in bins.items():
-            if count < 0:
-                raise InvalidParameterError("bin counts must be non-negative")
-            if count > 0:
-                sketch._store.insert(label, float(count))
+        sketch = cls(capacity, seed=seed)
+        # "!= 0" rather than "> 0" keeps NaN and negative counts for the
+        # loader to refuse.
+        sketch._store.load(
+            [label for label, count in bins.items() if count != 0],
+            [count for count in bins.values() if count != 0],
+        )
         sketch._rows_processed = int(rows_processed)
         if total_weight is None:
             total_weight = float(sum(bins.values()))
@@ -166,32 +140,8 @@ class UnbiasedSpaceSaving(SubsetSumSketch, SerializableSketch):
                 "Unbiased Space Saving requires positive weights (finite); "
                 "see repro.core.weighted for signed updates"
             )
-        store = self._store
-        if isinstance(store, ColumnarCounterStore):
-            self._record_update(weight)
-            self._label_replacements += store.apply_one(item, float(weight))
-            return
-        if weight != int(weight):
-            self._ensure_float_store()
         self._record_update(weight)
-        store = self._store
-        if item in store:
-            store.increment(item, weight)
-            return
-        if len(store) < self._capacity:
-            store.insert(item, weight)
-            return
-        min_label = store.min_label()
-        min_count = store.get(min_label)
-        new_count = store.increment(min_label, weight)
-        # Replace the label with probability weight / (min_count + weight) so
-        # that the expected increment to the arriving item equals its weight
-        # and the expected change to the displaced label's count is zero.
-        if self._rng.random() * new_count < weight:
-            store.relabel(min_label, item)
-            self._label_replacements += 1
-        # Silence the unused-variable lint for readability of the formula.
-        del min_count
+        self._label_replacements += self._store.apply_one(item, float(weight))
 
     def update_batch(
         self,
@@ -200,26 +150,19 @@ class UnbiasedSpaceSaving(SubsetSumSketch, SerializableSketch):
     ) -> "UnbiasedSpaceSaving":
         """Batched ingestion: collapse duplicates, then apply weighted updates.
 
-        On the scalar stores this is equivalent to a scalar :meth:`update`
-        loop over the batch's collapsed ``(item, summed weight)`` pairs in
-        first-occurrence order (including the random label replacement
-        draws), with the per-call bookkeeping hoisted out of the loop.  On
-        the columnar store the collapsed pairs are applied in the kernel's
-        phased order (present scatter-add, inserts, then min-replacement
-        contests — see :mod:`repro.core.columnar`), which preserves every
-        unbiasedness guarantee but is not draw-for-draw identical to the
-        scalar loop.  Collapsing preserves unbiasedness because a weighted
-        update *is* the §5.3 pairwise PPS reduction of the collapsed rows.
-        ``rows_processed`` still counts raw rows.
+        The collapsed ``(item, summed weight)`` pairs are applied in the
+        kernel's phased order (present scatter-add, inserts, then
+        min-replacement contests — see :mod:`repro.core.columnar`), which
+        preserves every unbiasedness guarantee but is not draw-for-draw
+        identical to a per-row :meth:`update` loop.  Collapsing preserves
+        unbiasedness because a weighted update *is* the §5.3 pairwise PPS
+        reduction of the collapsed rows.  ``rows_processed`` still counts
+        raw rows.
         """
-        if (
-            isinstance(self._store, ColumnarCounterStore)
-            and isinstance(items, np.ndarray)
-            and items.dtype != object
-        ):
+        if isinstance(items, np.ndarray) and items.dtype != object:
             unique, collapsed, row_count, total = collapse_batch_arrays(items, weights)
-            return self._ingest_collapsed(unique, collapsed, row_count, total)
-        unique, collapsed, row_count, total = collapse_batch(items, weights)
+        else:
+            unique, collapsed, row_count, total = collapse_batch(items, weights)
         return self._ingest_collapsed(unique, collapsed, row_count, total)
 
     def _ingest_collapsed(
@@ -233,70 +176,23 @@ class UnbiasedSpaceSaving(SubsetSumSketch, SerializableSketch):
 
         Backs :meth:`update_batch` and the sharded executor, which collapses
         globally before routing and must not pay a second collapse per shard.
-        ``unique`` / ``collapsed`` are aligned lists, or numpy arrays on the
-        columnar fast path.
+        ``unique`` / ``collapsed`` are aligned lists or numpy arrays.
         """
         if len(unique) == 0:
             return self
-        store = self._store
-        if isinstance(store, ColumnarCounterStore):
-            collapsed = np.ascontiguousarray(collapsed, dtype=np.float64)
-            # min() <= 0 alone would let NaN through (NaN comparisons are
-            # all false), and +inf would collide with the store's free-slot
-            # sentinel — require finite positive weights explicitly.
-            if not np.isfinite(collapsed).all() or collapsed.min() <= 0:
-                raise UnsupportedUpdateError(
-                    "Unbiased Space Saving requires positive weights (finite); "
-                    "see repro.core.weighted for signed updates"
-                )
-            self._label_replacements += store.apply_batch(unique, collapsed)
-            self._rows_processed += row_count
-            self._total_weight += total
-            return self
-        if min(collapsed) <= 0:
+        collapsed = np.ascontiguousarray(collapsed, dtype=np.float64)
+        # min() <= 0 alone would let NaN through (NaN comparisons are all
+        # false), and +inf would collide with the store's free-slot
+        # sentinel — require finite positive weights explicitly.
+        if not np.isfinite(collapsed).all() or collapsed.min() <= 0:
             raise UnsupportedUpdateError(
-                "Unbiased Space Saving requires positive weights; "
+                "Unbiased Space Saving requires positive weights (finite); "
                 "see repro.core.weighted for signed updates"
             )
-        if any(weight != int(weight) for weight in collapsed):
-            self._ensure_float_store()
-        store = self._store
-        capacity = self._capacity
-        if all(item in store for item in unique):
-            # Steady-state fast path: every batch item already owns a bin, so
-            # the whole batch is a commutative set of increments.
-            store.increment_batch(list(zip(unique, collapsed)))
-        else:
-            rng_random = self._rng.random
-            for item, weight in zip(unique, collapsed):
-                if item in store:
-                    store.increment(item, weight)
-                    continue
-                if len(store) < capacity:
-                    store.insert(item, weight)
-                    continue
-                min_label = store.min_label()
-                new_count = store.increment(min_label, weight)
-                if rng_random() * new_count < weight:
-                    store.relabel(min_label, item)
-                    self._label_replacements += 1
+        self._label_replacements += self._store.apply_batch(unique, collapsed)
         self._rows_processed += row_count
         self._total_weight += total
         return self
-
-    def _ensure_float_store(self) -> None:
-        """Migrate from the integer store to the heap store in place."""
-        if isinstance(self._store, (HeapBinStore, ColumnarCounterStore)):
-            # Float-native stores never migrate.
-            return
-        if self._store_kind == "stream_summary":
-            raise UnsupportedUpdateError(
-                "non-integer weights require store='heap' or store='auto'"
-            )
-        migrated = HeapBinStore(rng=self._rng)
-        for label, count in self._store.items():
-            migrated.insert(label, count)
-        self._store = migrated
 
     # ------------------------------------------------------------------
     # Point queries
@@ -376,78 +272,27 @@ class UnbiasedSpaceSaving(SubsetSumSketch, SerializableSketch):
 
         return merge_unbiased(self, other, capacity=capacity, method=method, seed=seed)
 
-    def __repr__(self) -> str:
-        store = self._active_store_name()
-        return (
-            f"{type(self).__name__}(capacity={self._capacity}, store={store!r}, "
-            f"bins={len(self._store)}, rows_processed={self._rows_processed}, "
-            f"total_weight={self._total_weight:g})"
-        )
-
     # ------------------------------------------------------------------
     # Serialization (repro.io contract)
     # ------------------------------------------------------------------
-    def _active_store_name(self) -> str:
-        if isinstance(self._store, ColumnarCounterStore):
-            return "columnar"
-        if isinstance(self._store, HeapBinStore):
-            return "heap"
-        return "stream_summary"
-
     def _serial_state(self):
-        meta = {
+        meta, arrays = self._store.frame()
+        meta.update({
             "capacity": self._capacity,
-            "store": self._store_kind,
-            "active_store": self._active_store_name(),
+            # Readers of earlier versions select their store from these.
+            "store": "columnar",
+            "active_store": "columnar",
             "rows_processed": self._rows_processed,
             "total_weight": self._total_weight,
             "label_replacements": self._label_replacements,
             "rng_state": rng_state_to_jsonable(self._rng.getstate()),
-        }
-        if isinstance(self._store, ColumnarCounterStore):
-            rows = self._store.state_rows()
-            meta["labels"] = [encode_item(label) for label, _, _, _ in rows]
-            meta["kernel_rng_state"] = self._store.generator_state()
-            arrays = {
-                "counts": np.asarray([c for _, c, _, _ in rows], dtype=np.float64),
-                "priorities": np.asarray([p for _, _, p, _ in rows], dtype=np.float64),
-            }
-            return meta, arrays
-        labels: List[object] = []
-        counts: List[float] = []
-        for label, count in self._store.items():
-            labels.append(encode_item(label))
-            counts.append(float(count))
-        meta["labels"] = labels
-        return meta, {"counts": np.asarray(counts, dtype=np.float64)}
+        })
+        return meta, arrays
 
     @classmethod
     def _from_serial_state(cls, meta, arrays):
-        sketch = cls(int(meta["capacity"]), store=meta["store"])
-        active = meta["active_store"]
-        if active == "columnar":
-            store = sketch._store
-            # Bins restore in items() order with their exact counts and
-            # tie-break priorities; relative slot order is preserved (the
-            # only slot property the kernel observes), and the kernel RNG
-            # state rides along, so continuation is bit-identical.
-            for label, count, priority in zip(
-                meta["labels"], arrays["counts"], arrays["priorities"]
-            ):
-                store.restore_bin(decode_item(label), float(count), float(priority))
-            store.set_generator_state(meta["kernel_rng_state"])
-        else:
-            if active == "heap" and not isinstance(sketch._store, HeapBinStore):
-                sketch._store = HeapBinStore(rng=sketch._rng)
-            elif active == "stream_summary" and not isinstance(
-                sketch._store, StreamSummaryBinStore
-            ):
-                sketch._store = StreamSummaryBinStore(rng=sketch._rng)
-            # Bins are re-inserted in the serialized (structural) order, which
-            # reproduces the exact bucket/tie ordering of the source sketch, so
-            # a restored seeded sketch continues the stream bit-identically.
-            for label, count in zip(meta["labels"], arrays["counts"]):
-                sketch._store.insert(decode_item(label), float(count))
+        sketch = cls(int(meta["capacity"]))
+        sketch._store.load_frame(meta, arrays)
         sketch._rows_processed = int(meta["rows_processed"])
         sketch._total_weight = float(meta["total_weight"])
         sketch._label_replacements = int(meta["label_replacements"])

@@ -62,7 +62,8 @@ class ShardedSketch(DisjointUnionQueries, SerializableSketch):
         :func:`repro.core.merge.reduce_bins_unbiased`.
     shard_factory:
         Optional ``(shard_index, shard_seed) -> sketch`` override for
-        building the per-shard sketches, e.g. to pass ``store="heap"``.
+        building the per-shard sketches, e.g. to derive shard seeds
+        differently.
 
     Example
     -------

@@ -551,7 +551,7 @@ class _PaneRingSketch(SerializableSketch):
         target = int(capacity) if capacity is not None else self._size
         merge_seed = seed if seed is not None else self._seed
         if not panes:
-            return UnbiasedSpaceSaving(target, seed=merge_seed, store="heap")
+            return UnbiasedSpaceSaving(target, seed=merge_seed)
         if not all(isinstance(pane, UnbiasedSpaceSaving) for pane in panes):
             raise CapabilityError(
                 f"merged() requires Unbiased Space Saving panes; "

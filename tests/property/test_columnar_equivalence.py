@@ -1,12 +1,12 @@
 """Differential-equivalence suite: columnar kernel vs the reference scalar spec.
 
-The columnar store (:mod:`repro.core.columnar`) ships three kernels that must
+The columnar store (:mod:`repro.core.columnar`) ships two kernels that must
 be *bit-identical*, not merely distributionally equal: the vectorized numpy
-level sweep, the optional numba per-contest loop, and ``reference`` — a naive
-scalar linear-scan implementation of the per-contest replacement rule that
-serves as the executable specification.  All kernels consume the same
-pre-drawn randomness block, so under one seed every count, priority, label
-and query answer must match exactly.
+level sweep and ``reference`` — a naive scalar linear-scan implementation of
+the per-contest replacement rule that serves as the executable
+specification.  Both kernels consume the same pre-drawn randomness block, so
+under one seed every count, priority, label and query answer must match
+exactly.
 
 Every property here drives a full sketch (not the bare store) through
 hypothesis-generated streams — unit and weighted rows, heavy duplication,
@@ -14,11 +14,9 @@ adversarial min-ties, capacity churn — once per kernel, then asserts
 query-level identity: point estimates, subset sums with variances, heavy
 hitters, top-k, merges, and serialize → restore → continue continuations.
 
-The ``REPRO_KERNEL`` feature flag is exercised on both documented settings:
-unset (pure-numpy fallback) and ``numba`` (which silently falls back to
-numpy when numba is not importable — the CI kernel-matrix job runs this
-suite under both values, so on a numba-equipped runner the jitted kernel is
-what gets differentially tested here).
+The fast side runs with the ``REPRO_KERNEL`` feature flag unset (the numpy
+default); the CI kernel-matrix job also runs this suite with
+``REPRO_KERNEL=reference``.
 """
 
 from __future__ import annotations
@@ -36,11 +34,10 @@ from repro.core import (
     merge_unbiased,
     resolve_kernel_name,
 )
+from repro.errors import InvalidParameterError
 
-# The two documented settings of the feature flag.  ``None`` means unset
-# (pure-numpy fallback); "numba" selects the jitted kernel where available
-# and must fall back to numpy identically where not.
-KERNEL_FLAGS = [None, "numba"]
+# The fast side's feature-flag setting: ``None`` means unset (numpy kernel).
+KERNEL_FLAGS = [None]
 
 
 def _flag_id(flag):
@@ -50,15 +47,12 @@ def _flag_id(flag):
 def make_sketch(kernel, cls=UnbiasedSpaceSaving, *, capacity, seed, **kwargs):
     """Build a sketch whose columnar store uses ``kernel``.
 
-    ``kernel`` is either an explicit kernel name ("reference") or a feature
-    flag value (None / "numba") applied through the environment, exactly as
-    a deployment would set it.
+    ``kernel`` is a kernel name or ``None`` (flag unset), applied through
+    the environment exactly as a deployment would set it.
     """
     previous = os.environ.pop("REPRO_KERNEL", None)
     try:
-        if kernel in ("reference",):
-            os.environ["REPRO_KERNEL"] = kernel
-        elif kernel is not None:
+        if kernel is not None:
             os.environ["REPRO_KERNEL"] = kernel
         return cls(capacity, seed=seed, **kwargs)
     finally:
@@ -229,16 +223,16 @@ def test_scalar_update_equals_batch_of_one(stream, capacity, seed):
 
 
 def test_kernel_flag_resolution():
-    """The flag resolves exactly as documented, including the numba fallback."""
+    """The flag resolves exactly as documented; unknown names raise."""
     previous = os.environ.pop("REPRO_KERNEL", None)
     try:
         assert resolve_kernel_name(None) == "numpy"
         os.environ["REPRO_KERNEL"] = "reference"
         assert resolve_kernel_name(None) == "reference"
+        # Any other name raises, numba included.
         os.environ["REPRO_KERNEL"] = "numba"
-        # On a runner without numba this falls back to numpy; with numba it
-        # stays numba.  Either way it must resolve without raising.
-        assert resolve_kernel_name(None) in ("numba", "numpy")
+        with pytest.raises(InvalidParameterError, match="numba"):
+            resolve_kernel_name(None)
     finally:
         os.environ.pop("REPRO_KERNEL", None)
         if previous is not None:

@@ -298,8 +298,13 @@ def test_scale_out_backend_requires_capability():
 def test_spec_parameters_apply_inline():
     session = build("countmin", size=32, depth=6, seed=0)
     assert session.estimator.depth == 6
-    heap_session = build("unbiased_space_saving", size=8, store="heap", seed=0)
-    assert "heap" in repr(heap_session.estimator)
+
+
+def test_store_parameter_rejected():
+    # The columnar store is the only counter store; store= is unknown.
+    for spec in ("unbiased_space_saving", "deterministic_space_saving"):
+        with pytest.raises(InvalidParameterError, match="store"):
+            build(spec, size=8, store="heap", seed=0)
 
 
 # ----------------------------------------------------------------------

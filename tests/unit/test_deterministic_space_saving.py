@@ -16,8 +16,9 @@ class TestConstruction:
             DeterministicSpaceSaving(0)
 
     def test_unknown_store_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            DeterministicSpaceSaving(4, store="nope")
+        # The columnar store is the only one; there is no store argument.
+        with pytest.raises(TypeError, match="store"):
+            DeterministicSpaceSaving(4, store="stream_summary")
 
     def test_capacity_property(self):
         assert DeterministicSpaceSaving(7).capacity == 7
@@ -148,7 +149,7 @@ class TestWeightsAndErrors:
         assert sketch.estimate("a") == 5
 
     def test_float_weights_require_heap_store(self):
-        sketch = DeterministicSpaceSaving(capacity=3, store="heap")
+        sketch = DeterministicSpaceSaving(capacity=3)
         sketch.update("a", 2.5)
         assert sketch.estimate("a") == pytest.approx(2.5)
 

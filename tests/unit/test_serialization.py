@@ -52,7 +52,6 @@ def _probe_items(rows):
 
 FREQUENT_FACTORIES = [
     pytest.param(lambda: UnbiasedSpaceSaving(32, seed=SEED), id="uss"),
-    pytest.param(lambda: UnbiasedSpaceSaving(32, seed=SEED, store="heap"), id="uss-heap"),
     pytest.param(lambda: DeterministicSpaceSaving(32, seed=SEED), id="dss"),
     pytest.param(lambda: MisraGriesSketch(32, seed=SEED), id="misra-gries"),
     pytest.param(lambda: LossyCountingSketch(epsilon=0.01), id="lossy"),

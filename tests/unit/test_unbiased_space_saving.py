@@ -16,8 +16,9 @@ class TestConstruction:
             UnbiasedSpaceSaving(0)
 
     def test_unknown_store_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            UnbiasedSpaceSaving(5, store="bogus")
+        # The columnar store is the only one; there is no store argument.
+        with pytest.raises(TypeError, match="store"):
+            UnbiasedSpaceSaving(5, store="heap")
 
     def test_from_bins_roundtrip(self):
         sketch = UnbiasedSpaceSaving.from_bins(
@@ -31,10 +32,28 @@ class TestConstruction:
     def test_from_bins_rejects_too_many_bins(self):
         with pytest.raises(InvalidParameterError):
             UnbiasedSpaceSaving.from_bins(1, {"a": 1.0, "b": 2.0})
+        # Zero-count bins still count against the capacity.
+        with pytest.raises(InvalidParameterError, match="capacity"):
+            UnbiasedSpaceSaving.from_bins(2, {"a": 1.0, "b": 1.0, "c": 0.0})
 
     def test_from_bins_rejects_negative_counts(self):
-        with pytest.raises(InvalidParameterError):
-            UnbiasedSpaceSaving.from_bins(3, {"a": -1.0})
+        for bad in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(InvalidParameterError):
+                UnbiasedSpaceSaving.from_bins(3, {"a": 1.0, "b": bad})
+
+    def test_from_bins_drops_zero_counts(self):
+        sketch = UnbiasedSpaceSaving.from_bins(4, {"a": 2.0, "b": 0.0}, seed=1)
+        assert sketch.estimates() == {"a": 2.0}
+        assert sketch.total_weight == 2.0
+
+    def test_from_bins_float_label_survives_int_batches(self):
+        # The loader must lower labels like the kernel does: a float label
+        # disables the integer searchsorted fast path, which would
+        # otherwise truncate 2.5 to 2 and credit label 2's weight to it.
+        sketch = UnbiasedSpaceSaving.from_bins(4, {2.5: 3.0, 7: 1.0}, seed=0)
+        sketch.update_batch(np.array([2]))
+        assert sketch.estimate(2.5) == 3.0
+        assert sketch.estimate(2) == 1.0
 
 
 class TestExactRegime:
@@ -193,13 +212,8 @@ class TestWeightedUpdates:
         assert sketch.estimate("b") == pytest.approx(1.5)
         assert sketch.total_estimate() == pytest.approx(3.5)
 
-    def test_stream_summary_store_rejects_float_weights(self):
-        sketch = UnbiasedSpaceSaving(capacity=4, store="stream_summary")
-        with pytest.raises(UnsupportedUpdateError):
-            sketch.update("a", 0.5)
-
     def test_weighted_total_preserved_when_saturated(self):
-        sketch = UnbiasedSpaceSaving(capacity=3, seed=14, store="heap")
+        sketch = UnbiasedSpaceSaving(capacity=3, seed=14)
         total = 0.0
         rng = np.random.default_rng(0)
         for index in range(100):
