@@ -108,6 +108,14 @@ class _ExactCounterSketch(FrequentItemSketch):
 
 SKETCH_FACTORIES = [
     pytest.param(lambda seed: UnbiasedSpaceSaving(24, seed=seed), id="uss"),
+    # A warm start from bulk-loaded bins: the batch then opens on present
+    # labels and occupied slots rather than an empty store.
+    pytest.param(
+        lambda seed: UnbiasedSpaceSaving.from_bins(
+            24, {0: 3.5, 1: 12.0, 10_000: 1.25}, seed=seed
+        ),
+        id="uss-from-bins",
+    ),
     pytest.param(lambda seed: DeterministicSpaceSaving(24, seed=seed), id="dss"),
     pytest.param(lambda seed: MisraGriesSketch(24, seed=seed), id="misra-gries"),
     pytest.param(lambda seed: CountMinSketch(width=128, depth=4, seed=seed), id="countmin"),

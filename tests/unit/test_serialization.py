@@ -52,6 +52,14 @@ def _probe_items(rows):
 
 FREQUENT_FACTORIES = [
     pytest.param(lambda: UnbiasedSpaceSaving(32, seed=SEED), id="uss"),
+    # Bulk-loaded bins with real-valued counts and fresh priorities, as
+    # merges and the cluster gather build them.
+    pytest.param(
+        lambda: UnbiasedSpaceSaving.from_bins(
+            32, {-1: 2.5, -2: 40.0, "warm": 7.25}, rows_processed=50, seed=SEED
+        ),
+        id="uss-from-bins",
+    ),
     pytest.param(lambda: DeterministicSpaceSaving(32, seed=SEED), id="dss"),
     pytest.param(lambda: MisraGriesSketch(32, seed=SEED), id="misra-gries"),
     pytest.param(lambda: LossyCountingSketch(epsilon=0.01), id="lossy"),

@@ -55,6 +55,24 @@ class TestConstruction:
         assert sketch.estimate(2.5) == 3.0
         assert sketch.estimate(2) == 1.0
 
+    def test_from_bins_total_defaults_to_the_bin_sum(self):
+        sketch = UnbiasedSpaceSaving.from_bins(4, {"a": 2.5, "b": 1.25}, seed=0)
+        assert sketch.total_weight == 3.75
+        assert sketch.rows_processed == 0
+        sketch.update("a")
+        assert sketch.total_weight == 4.75
+        assert sketch.estimate("a") == 3.5
+
+    def test_seeded_from_bins_is_deterministic(self):
+        bins = {label: float(label % 5 + 1) for label in range(8)}
+        rows = np.random.default_rng(3).integers(0, 40, size=300)
+        first = UnbiasedSpaceSaving.from_bins(8, bins, seed=12).update_batch(rows)
+        second = UnbiasedSpaceSaving.from_bins(8, bins, seed=12)
+        second.update_batch(rows)
+        assert first.estimates() == second.estimates()
+        assert first.label_replacements == second.label_replacements
+        assert first.total_weight == sum(bins.values()) + 300
+
 
 class TestExactRegime:
     def test_exact_counts_under_capacity(self):
