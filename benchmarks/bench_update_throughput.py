@@ -1,4 +1,4 @@
-"""Update throughput benchmarks: scalar vs batched vs sharded vs parallel.
+"""Update throughput benchmarks: scalar vs batched vs sharded vs windowed vs serve.
 
 Two layers live in this file:
 
@@ -6,11 +6,10 @@ Two layers live in this file:
 
       PYTHONPATH=src python benchmarks/bench_update_throughput.py
 
-  to stream a 1M-row Zipf workload through Unbiased Space Saving six
+  to stream a 1M-row Zipf workload through Unbiased Space Saving five
   ways — the scalar ``update`` loop, the vectorized ``update_batch`` fast
   path, the hash-partitioned in-process ``ShardedSketch`` executor, the
-  multiprocess ``ParallelSketchExecutor`` (serialized shard states
-  fanned out to a worker pool), the timestamped *windowed* path (a
+  timestamped *windowed* path (a
   ``SlidingWindowSketch`` routing every batch to its pane), and the
   *served* path (a ``repro.serve`` ``SketchServer`` fed by four
   concurrent producers through its bounded ingest queue, with
@@ -51,7 +50,6 @@ import pytest
 from repro.api.build import build
 from repro.core.deterministic_space_saving import DeterministicSpaceSaving
 from repro.core.unbiased_space_saving import UnbiasedSpaceSaving
-from repro.distributed.parallel import ParallelSketchExecutor
 from repro.distributed.sharded import ShardedSketch
 from repro.frequent.countmin import CountMinSketch
 from repro.frequent.misra_gries import MisraGriesSketch
@@ -67,7 +65,7 @@ ROWS = 50_000
 CAPACITY = 256
 
 #: Every ingestion mode the comparison knows, in report order.
-ALL_MODES = ("scalar", "batched", "sharded", "parallel", "windowed", "serve")
+ALL_MODES = ("scalar", "batched", "sharded", "windowed", "serve")
 
 #: Synthetic stream time for the windowed mode: the whole workload spans
 #: this many seconds, panes are one tenth of it, and the horizon covers
@@ -508,7 +506,6 @@ def run_ingestion_comparison(
     capacity: int = 256,
     batch_rows: int = 100_000,
     num_shards: int = 8,
-    num_workers: Optional[int] = None,
     num_producers: int = 4,
     seed: int = 0,
     modes: Sequence[str] = ALL_MODES,
@@ -566,19 +563,6 @@ def run_ingestion_comparison(
             sketch.update_batch(chunk)
         return sketch
 
-    def parallel() -> ParallelSketchExecutor:
-        executor = build(
-            "unbiased_space_saving",
-            size=capacity,
-            backend="parallel",
-            num_shards=num_shards,
-            seed=seed,
-            num_workers=num_workers,
-        ).estimator
-        for chunk in chunks:
-            executor.update_batch(chunk)
-        return executor
-
     # Stream time for the windowed mode: row i arrives at t = i * dt.
     window_spec = f"sliding:{2 * STREAM_SECONDS:g}s/{STREAM_SECONDS / 10:g}s"
     timestamps = np.linspace(0.0, STREAM_SECONDS, num=rows, endpoint=False)
@@ -596,7 +580,6 @@ def run_ingestion_comparison(
         "scalar": scalar,
         "batched": batched,
         "sharded": sharded,
-        "parallel": parallel,
         "windowed": windowed,
     }
 
@@ -620,10 +603,6 @@ def run_ingestion_comparison(
         }
         if serve_stats is not None:
             mode_stats[name].update(serve_stats)
-    if "parallel" in sketches:
-        executor = sketches["parallel"]
-        mode_stats["parallel"]["num_workers"] = executor.num_workers
-        executor.close()
 
     top_true = {item for item, _ in zipf_top_k(num_items, exponent, rows, 10)}
     equivalence = {
@@ -663,7 +642,6 @@ def run_ingestion_comparison(
             "capacity": capacity,
             "batch_rows": batch_rows,
             "num_shards": num_shards,
-            "num_workers": mode_stats.get("parallel", {}).get("num_workers"),
             "num_producers": num_producers,
             "window": window_spec,
         },
@@ -709,13 +687,6 @@ def main(argv: Optional[List[str]] = None) -> Dict[str, object]:
     parser.add_argument("--capacity", type=int, default=256)
     parser.add_argument("--batch-rows", type=int, default=100_000)
     parser.add_argument("--num-shards", type=int, default=8)
-    parser.add_argument(
-        "--num-workers",
-        type=int,
-        default=None,
-        help="pool size for the parallel mode (default: min(shards, cpus); "
-        "below 2 runs the wire path inline)",
-    )
     parser.add_argument(
         "--num-producers",
         type=int,
@@ -768,7 +739,6 @@ def main(argv: Optional[List[str]] = None) -> Dict[str, object]:
         capacity=args.capacity,
         batch_rows=args.batch_rows,
         num_shards=args.num_shards,
-        num_workers=args.num_workers,
         num_producers=args.num_producers,
         seed=args.seed,
         modes=modes,
@@ -883,17 +853,6 @@ def test_throughput_sharded_batched(benchmark, workload_array):
     sketch = benchmark(
         _ingest_batched,
         lambda: ShardedSketch(CAPACITY, num_shards=8, seed=0),
-        workload_array,
-    )
-    assert sketch.rows_processed == len(workload_array)
-
-
-def test_throughput_parallel_executor_wire_path(benchmark, workload_array):
-    # Inline workers time the full serialize → ingest → reserialize wire
-    # path without per-round pool startup noise.
-    sketch = benchmark(
-        _ingest_batched,
-        lambda: ParallelSketchExecutor(CAPACITY, 8, seed=0, num_workers=0),
         workload_array,
     )
     assert sketch.rows_processed == len(workload_array)

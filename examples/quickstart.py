@@ -13,9 +13,9 @@ sketch is designed for:
    get?" for arbitrary, after-the-fact filters, with confidence intervals.
 2. *Frequent items* — "which ads are the heavy hitters?"
 
-The same session API runs unchanged on the scale-out backends: swap
-``backend="inline"`` for ``"sharded"`` or ``"parallel"`` and ingestion
-routes across hash-partitioned shards without touching the query code.
+The same session API runs unchanged on the scale-out backend: swap
+``backend="inline"`` for ``"sharded"`` and ingestion routes across
+hash-partitioned shards without touching the query code.
 """
 
 from __future__ import annotations

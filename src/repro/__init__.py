@@ -74,7 +74,7 @@ from repro.core import (
     merge_many_unbiased,
     merge_unbiased,
 )
-from repro.distributed import ParallelSketchExecutor, ShardedSketch
+from repro.distributed import ShardedSketch
 from repro.errors import CapabilityError
 from repro.io import load_bytes, load_checkpoint, load_dict, save_checkpoint
 from repro.query import SketchQueryEngine, SubsetSumEstimator
@@ -105,7 +105,6 @@ __all__ = [
     "HashRing",
     "LogSource",
     "Member",
-    "ParallelSketchExecutor",
     "PipelineDriver",
     "QueryResult",
     "ShardedSketch",

@@ -6,12 +6,10 @@ a ready :class:`~repro.api.session.StreamSession`:
 * ``backend="inline"`` (default) — the spec's class, constructed directly.
 * ``backend="sharded"`` — a hash-partitioned in-process
   :class:`~repro.distributed.sharded.ShardedSketch` ensemble.
-* ``backend="parallel"`` — a multiprocess
-  :class:`~repro.distributed.parallel.ParallelSketchExecutor`.
 
-Seeding is normalized across backends exactly as the executors define it
+Seeding is normalized across backends exactly as the ensemble defines it
 (shard ``i`` receives ``seed + i``), so a session built here is equal,
-estimate for estimate, to the hand-constructed executor it replaces.
+estimate for estimate, to the hand-constructed ensemble it replaces.
 
 >>> session = build("unbiased_space_saving", size=8, seed=42)
 >>> _ = session.update_batch(["ad1", "ad2", "ad1", "ad3"])
@@ -47,9 +45,9 @@ from repro.errors import CapabilityError, InvalidParameterError
 __all__ = ["build", "BACKENDS"]
 
 #: The execution backends :func:`build` understands.
-BACKENDS = ("inline", "sharded", "parallel")
+BACKENDS = ("inline", "sharded")
 
-#: Default shard count for the scale-out backends when none is given.
+#: Default shard count for the sharded backend when none is given.
 DEFAULT_NUM_SHARDS = 4
 
 
@@ -61,8 +59,6 @@ def build(
     window: Optional[str] = None,
     seed: Optional[int] = None,
     num_shards: Optional[int] = None,
-    num_workers: Optional[int] = None,
-    mp_context: Optional[str] = None,
     merge_method: str = "pps",
     **params,
 ) -> StreamSession:
@@ -77,9 +73,9 @@ def build(
         The spec's primary size parameter: bin capacity for the Space
         Saving family and samplers, row width for CountMin / Count Sketch.
     backend:
-        ``"inline"``, ``"sharded"`` or ``"parallel"``; scale-out backends
-        are only available for specs that declare them (currently
-        ``unbiased_space_saving``) and raise
+        ``"inline"`` or ``"sharded"``; the sharded backend is only
+        available for specs that declare it (currently
+        ``unbiased_space_saving``) and raises
         :class:`~repro.errors.CapabilityError` otherwise.
     window:
         Optional time policy making the session time-aware:
@@ -92,17 +88,13 @@ def build(
         (``backend="inline"``).
     seed:
         Base seed.  Inline sessions pass it straight to the sketch;
-        scale-out sessions seed shard ``i`` with ``seed + i``, matching
-        the executors' own convention.
+        sharded sessions seed shard ``i`` with ``seed + i``, matching
+        the ensemble's own convention.
     num_shards:
-        Shard count for the scale-out backends (default 4); rejected for
+        Shard count for the sharded backend (default 4); rejected for
         ``backend="inline"``.
-    num_workers, mp_context:
-        Pool size / multiprocessing start method for ``backend="parallel"``
-        (see :class:`~repro.distributed.parallel.ParallelSketchExecutor`);
-        rejected for the other backends.
     merge_method:
-        Reduction used by ``session.merged()`` on scale-out backends.
+        Reduction used by ``session.merged()`` on the sharded backend.
     params:
         Spec-specific extras (e.g. ``depth=`` for the hashed sketches,
         ``epsilon=`` for Lossy Counting); unknown names raise
@@ -112,10 +104,6 @@ def build(
     if backend not in BACKENDS:
         raise InvalidParameterError(
             f"unknown backend {backend!r}; expected one of {BACKENDS}"
-        )
-    if backend != "parallel" and (num_workers is not None or mp_context is not None):
-        raise InvalidParameterError(
-            "num_workers/mp_context apply to backend='parallel' only"
         )
 
     if window is not None:
@@ -129,7 +117,7 @@ def build(
             )
         if num_shards is not None:
             raise InvalidParameterError(
-                "num_shards applies to the sharded/parallel backends only"
+                "num_shards applies to the sharded backend only"
             )
         policy = parse_window_policy(window)
         remaining = dict(params)
@@ -141,7 +129,7 @@ def build(
     if backend == "inline":
         if num_shards is not None:
             raise InvalidParameterError(
-                "num_shards applies to the sharded/parallel backends only"
+                "num_shards applies to the sharded backend only"
             )
         remaining = dict(params)
         estimator = sketch_spec.build_estimator(size, seed, remaining)
@@ -163,23 +151,8 @@ def build(
             f"spec parameters {sorted(params)} are not configurable on "
             f"backend {backend!r}; build inline or configure the executor directly"
         )
+    from repro.distributed.sharded import ShardedSketch
+
     shards = DEFAULT_NUM_SHARDS if num_shards is None else int(num_shards)
-
-    if backend == "sharded":
-        from repro.distributed.sharded import ShardedSketch
-
-        estimator = ShardedSketch(
-            int(size), shards, seed=seed, merge_method=merge_method
-        )
-    else:
-        from repro.distributed.parallel import ParallelSketchExecutor
-
-        estimator = ParallelSketchExecutor(
-            int(size),
-            shards,
-            seed=seed,
-            merge_method=merge_method,
-            num_workers=num_workers,
-            mp_context=mp_context,
-        )
+    estimator = ShardedSketch(int(size), shards, seed=seed, merge_method=merge_method)
     return StreamSession(estimator, spec_name=spec, backend=backend)

@@ -1,10 +1,10 @@
 """The backend-transparent stream session facade.
 
 A :class:`StreamSession` wraps any protocol-conforming estimator — an
-inline sketch, a hash-partitioned :class:`~repro.distributed.sharded.ShardedSketch`,
-or a multiprocess :class:`~repro.distributed.parallel.ParallelSketchExecutor` —
-behind one ingestion surface (``update`` / ``update_batch`` / ``extend``)
-and one *normalized* query surface: every read path returns a
+inline sketch or a hash-partitioned
+:class:`~repro.distributed.sharded.ShardedSketch` — behind one ingestion
+surface (``update`` / ``update_batch`` / ``extend``) and one *normalized*
+query surface: every read path returns a
 :class:`~repro.core.variance.EstimateWithError` or a
 :class:`~repro.query.engine.QueryResult`, never a bare float from one
 class and a dataclass from another.  Queries the wrapped estimator cannot
@@ -58,8 +58,9 @@ class StreamSession:
     spec_name:
         The spec the estimator was built from (``None`` for ad-hoc wraps).
     backend:
-        The execution backend label: ``"inline"``, ``"sharded"`` or
-        ``"parallel"``.
+        The execution backend label: ``"inline"`` or ``"sharded"``.
+        Sessions checkpointed under the retired ``"parallel"`` label
+        restore as ``"sharded"``, the class their frames load as.
     """
 
     def __init__(
@@ -77,7 +78,7 @@ class StreamSession:
             )
         self._estimator = estimator
         self._spec_name = spec_name
-        self._backend = backend
+        self._backend = "sharded" if backend == "parallel" else backend
         if window is None and callable(getattr(estimator, "window_policy", None)):
             window = estimator.window_policy().describe()
         self._window = window
@@ -325,7 +326,7 @@ class StreamSession:
     def merged(self, capacity: Optional[int] = None, *, seed: Optional[int] = None):
         """Collapse the session's state into one inline sketch.
 
-        Meaningful for the sharded/parallel backends (merge the shards)
+        Meaningful for the sharded backend (merge the shards)
         and for windowed sessions (merge the in-horizon panes — the §5.5
         hand-off); plain inline sessions have no ``merged()`` reduction
         and raise :class:`~repro.errors.CapabilityError`.
@@ -334,7 +335,7 @@ class StreamSession:
         if not callable(merge):
             raise CapabilityError(
                 f"{type(self._estimator).__name__} has no merged() reduction; "
-                "merged() applies to sharded/parallel sessions"
+                "merged() applies to sharded and windowed sessions"
             )
         return merge(capacity, seed=seed)
 
@@ -356,7 +357,7 @@ class StreamSession:
         self._estimator.save_checkpoint(path)
 
     def close(self) -> None:
-        """Release backend resources (the parallel worker pool); idempotent."""
+        """Release the estimator's resources, if it holds any; idempotent."""
         close = getattr(self._estimator, "close", None)
         if callable(close):
             close()

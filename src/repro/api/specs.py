@@ -3,7 +3,7 @@
 A :class:`SketchSpec` describes one buildable estimator: the class it
 resolves to, how a ``(size, seed, params)`` triple maps onto that class's
 constructor, the capabilities a default-configured instance provides, and
-which execution backends (``inline`` / ``sharded`` / ``parallel``) it can
+which execution backends (``inline`` / ``sharded``) it can
 run on.  Class resolution goes through the :mod:`repro.io` type registry
 first — the same ``type name -> module`` map the serialization layer
 dispatches on — so a spec'd type and a deserializable type are the same
@@ -14,7 +14,7 @@ notion wherever possible; non-serializable estimators carry an explicit
 >>> spec.type_name
 'UnbiasedSpaceSaving'
 >>> sorted(spec.backends)
-['inline', 'parallel', 'sharded']
+['inline', 'sharded']
 >>> "misra_gries" in available_specs()
 True
 """
@@ -197,7 +197,7 @@ register_spec(SketchSpec(
     summary="the paper's unbiased sketch: point + subset sum + heavy hitters",
     capabilities=frozenset({POINT, SUBSET_SUM, HEAVY_HITTERS, MERGE, SERIALIZE}),
     factory=_capacity_factory,
-    backends=("inline", "sharded", "parallel"),
+    backends=("inline", "sharded"),
 ))
 
 register_spec(SketchSpec(

@@ -14,8 +14,8 @@ JSON-lines protocol a single server speaks, so an unmodified
   logical session's label space across ``k`` members; ingest scatters
   by label hash, and global reads gather with the paper's
   disjoint-union math: subset-sum estimates *and variances* sum across
-  shards, frequent-item reads go through the unbiased merge, and totals
-  are preserved exactly (:mod:`repro.cluster.shard_session`).
+  shards, frequent-item reads take the union of the shards' bins, and
+  totals are preserved exactly (:mod:`repro.cluster.shard_session`).
 * **Replica fail-over** — members checkpoint under a shared directory;
   when one dies, the router re-maps its hash range to ring successors
   and rehydrates its sessions there via the wire ``adopt`` op, resuming
@@ -43,12 +43,8 @@ from repro.cluster.membership import (
     ring_delta,
 )
 from repro.cluster.router import ClusterRouter
-from repro.cluster.shard_session import (
-    SessionRoute,
-    merge_shard_states,
-    ranked_pairs,
-    scatter_batch,
-)
+from repro.cluster.shard_session import SessionRoute, scatter_batch
+from repro.distributed.sharded import merge_shard_states, ranked_pairs
 
 __all__ = [
     "DEFAULT_REPLICAS",

@@ -13,8 +13,8 @@ members with the consistent-hash ring of
   sessions named ``{name}@shard{i}``, each ring-placed by its own key —
   and the router scatters ingest by label hash and gathers reads with
   the paper's disjoint-union math (summed estimates *and* variances for
-  subset sums, the unbiased merge for frequent-item reads; see
-  :mod:`repro.cluster.shard_session`);
+  subset sums, the union of the shards' bins for frequent-item reads;
+  see :mod:`repro.cluster.shard_session`);
 * when a member stops answering, :meth:`fail_over` marks it down,
   re-maps its hash range to ring successors, and rehydrates its sessions
   on the survivors from the shared checkpoint directory — each member
@@ -78,12 +78,8 @@ from repro.cluster.membership import (
     ClusterMembership,
     Member,
 )
-from repro.cluster.shard_session import (
-    SessionRoute,
-    merge_shard_states,
-    ranked_pairs,
-    scatter_batch,
-)
+from repro.cluster.shard_session import SessionRoute, scatter_batch
+from repro.distributed.sharded import merge_shard_states, ranked_pairs
 
 __all__ = ["ClusterRouter"]
 
@@ -97,7 +93,6 @@ _CREATE_PASSTHROUGH = (
     "backend",
     "window",
     "num_shards",
-    "num_workers",
 )
 
 
@@ -692,7 +687,7 @@ class ClusterRouter(JsonLinesEndpoint):
     async def _gather_shard_states(
         self, route: SessionRoute
     ) -> List[Tuple[Dict[Any, float], float]]:
-        """Per-shard ``(bins, total_weight)`` for the unbiased gather-merge."""
+        """Per-shard ``(bins, total_weight)`` for the disjoint-union gather."""
 
         # One ``estimates`` read per shard carries both the bins and the
         # total, so each pair comes from a single member-side snapshot.
@@ -1099,8 +1094,8 @@ class ClusterRouter(JsonLinesEndpoint):
             raise InvalidParameterError("phi must lie in (0, 1]")
         if not route.sharded:
             return await self._forward(route, 0, "heavy_hitters", phi=phi)
-        merged = merge_shard_states(await self._gather_shard_states(route))
-        pairs = ranked_pairs(merged, threshold=phi * merged.total_weight)
+        bins, total = merge_shard_states(await self._gather_shard_states(route))
+        pairs = ranked_pairs(bins, threshold=phi * total)
         return {"pairs": protocol.encode_pairs(pairs)}
 
     async def _op_top_k(self, request: Dict[str, Any]) -> Dict[str, Any]:
@@ -1110,5 +1105,5 @@ class ClusterRouter(JsonLinesEndpoint):
             raise InvalidParameterError("k must be non-negative")
         if not route.sharded:
             return await self._forward(route, 0, "top_k", k=k)
-        merged = merge_shard_states(await self._gather_shard_states(route))
-        return {"pairs": protocol.encode_pairs(ranked_pairs(merged, k=k))}
+        bins, _ = merge_shard_states(await self._gather_shard_states(route))
+        return {"pairs": protocol.encode_pairs(ranked_pairs(bins, k=k))}

@@ -16,13 +16,12 @@ Disjointness is what makes the paper's math exact on gather:
   the shards being independent sketches — its variance is the **sum of
   the per-shard variances** (the disaggregated-subset-sum error model
   of §4 applied across shards);
-* frequent-item reads gather every shard's retained bins and combine
-  them with the paper's unbiased merge
-  (:func:`repro.core.merge.merge_many_unbiased`).  The gather passes
-  ``capacity = `` the union size, and the unbiased reduction leaves a
-  within-capacity bin map untouched, so the merged snapshot is the
-  *exact* disjoint union — the merge machinery adds no sampling noise
-  on the read path;
+* frequent-item reads gather every shard's retained bins and take their
+  disjoint union (:func:`~repro.distributed.sharded.merge_shard_states`,
+  the same union :class:`~repro.distributed.sharded.ShardedSketch`
+  answers from).  That union is what the paper's unbiased merge yields
+  at union capacity, where its reduction is the identity, so the read
+  path adds no sampling noise;
 * totals are preserved exactly: Space Saving never loses mass, and the
   disjoint union sums the per-shard totals.
 """
@@ -34,13 +33,11 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro._typing import Item
-from repro.core.merge import merge_many_unbiased
-from repro.core.unbiased_space_saving import UnbiasedSpaceSaving
 from repro.distributed.partition import stable_shard
 from repro.errors import InvalidParameterError
 from repro.serve.protocol import decode_item
 
-__all__ = ["SessionRoute", "scatter_batch", "merge_shard_states", "ranked_pairs"]
+__all__ = ["SessionRoute", "scatter_batch"]
 
 
 @dataclass
@@ -210,50 +207,3 @@ def scatter_batch(
         )
         for shard in range(num_shards)
     ]
-
-
-def merge_shard_states(
-    shard_states: Sequence[Tuple[Dict[Item, float], float]],
-) -> UnbiasedSpaceSaving:
-    """The paper's unbiased merge over gathered per-shard bin maps.
-
-    ``shard_states`` is one ``(bins, total_weight)`` pair per shard (the
-    wire ``estimates`` pairs and ``total`` estimate).  Each pair becomes
-    a snapshot sketch via ``from_bins`` and the snapshots merge through
-    :func:`merge_many_unbiased` with ``capacity`` = the union size — the
-    unbiased reduction is then the identity, so the result is the exact
-    disjoint union of the shards with the total preserved exactly.
-    """
-    if not shard_states:
-        raise InvalidParameterError("merge_shard_states needs at least one shard")
-    snapshots = [
-        UnbiasedSpaceSaving.from_bins(
-            max(1, len(bins)), bins, total_weight=total, seed=0
-        )
-        for bins, total in shard_states
-    ]
-    union_capacity = max(1, sum(len(bins) for bins, _ in shard_states))
-    return merge_many_unbiased(snapshots, capacity=union_capacity, seed=0)
-
-
-def ranked_pairs(
-    sketch: UnbiasedSpaceSaving,
-    *,
-    k: Optional[int] = None,
-    threshold: Optional[float] = None,
-) -> List[Tuple[Item, float]]:
-    """Retained bins ranked the way the query layer ranks grouped results.
-
-    Descending count, ties broken by ``repr(item)`` — the ordering
-    :class:`repro.distributed.ensemble.DisjointUnionQueries` and the
-    query engine use, so cluster reads rank identically to local ones.
-    ``threshold`` keeps only strictly-positive bins at/above it (the
-    heavy-hitter filter); ``k`` truncates.
-    """
-    pairs = [
-        (item, count)
-        for item, count in sketch.estimates().items()
-        if threshold is None or (count >= threshold and count > 0)
-    ]
-    pairs.sort(key=lambda pair: (-pair[1], repr(pair[0])))
-    return pairs if k is None else pairs[:k]

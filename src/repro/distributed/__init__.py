@@ -7,10 +7,7 @@ Three layers of the scale-out story live here:
   weighted batch variant used by the sharded executor.
 * :mod:`repro.distributed.sharded` — :class:`ShardedSketch`, a live
   hash-partitioned ensemble of Unbiased Space Saving sketches with batched
-  ingestion and merge-backed global queries.
-* :mod:`repro.distributed.parallel` — :class:`ParallelSketchExecutor`,
-  the same ensemble driven across process boundaries: shards live as
-  serialized byte frames and batches fan out to a multiprocessing pool.
+  ingestion, disjoint-union global queries and a merge down to one sketch.
 * :mod:`repro.distributed.mapreduce` — the simulated scatter/gather
   pipeline (§5.5's deployment story): sketch each partition, then merge.
 """
@@ -21,7 +18,6 @@ from repro.distributed.mapreduce import (
     sketch_partitions,
     tree_merge,
 )
-from repro.distributed.parallel import ParallelSketchExecutor
 from repro.distributed.partition import (
     hash_partition,
     hash_partition_batch,
@@ -33,7 +29,6 @@ from repro.distributed.sharded import ShardedSketch
 
 __all__ = [
     "DistributedSubsetSum",
-    "ParallelSketchExecutor",
     "ShardedSketch",
     "reduce_sketches",
     "sketch_partitions",

@@ -9,40 +9,84 @@ turns that result into a usable scale-out API:
   internal sketches by a stable hash of the item label, so all rows of a
   given item land on the same shard.  Batches are collapsed once globally
   (:func:`repro.core.batching.collapse_batch`), hashed once per *distinct*
-  item, and handed to each shard's ``update_batch``.
+  item, and handed to each shard without a second collapse.
 * **Point queries** need no merge at all: because shards hold disjoint item
-  sets, the owning shard's estimate *is* the ensemble estimate, and subset
-  sums/heavy hitters are answered from the disjoint union of shard states.
+  sets, the owning shard's estimate *is* the ensemble estimate.
+* **Global queries** read the disjoint union of the shard states: bins
+  union, totals add and, the shards being independent, subset-sum
+  variances add.  :func:`merge_shard_states` and :func:`ranked_pairs`
+  hold that union and its ranking once; the cluster router gathers its
+  key-sharded sessions through the same two functions.
 * **Merging** down to a single capacity-``m`` sketch goes through the
   existing :mod:`repro.core.merge` machinery
   (:func:`~repro.core.merge.merge_many_unbiased`), preserving unbiasedness.
 
-In-process the shards are plain Python objects, but the API mirrors what a
-multi-process or multi-node deployment needs: independent per-shard state,
-batch routing, and a merge step that only moves sketch-sized summaries.
+In-process the shards are plain Python objects; multi-process scale-out
+runs the same shape through :mod:`repro.serve` and :mod:`repro.cluster`,
+which move only sketch-sized summaries between processes.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro._typing import Item
-from repro.core.batching import collapse_batch
+from repro._typing import Item, ItemPredicate
+from repro.core.batching import collapse_batch, iter_weighted_rows
+from repro.core.merge import merge_many_unbiased
 from repro.core.unbiased_space_saving import UnbiasedSpaceSaving
-from repro.distributed.ensemble import DisjointUnionQueries
+from repro.core.variance import EstimateWithError
 from repro.distributed.partition import hash_partition_batch, stable_shard
 from repro.errors import InvalidParameterError
 from repro.io.serializable import SerializableSketch
 
-__all__ = ["ShardedSketch"]
-
-#: Builds the sketch for one shard given ``(shard_index, shard_seed)``.
-ShardFactory = Callable[[int, Optional[int]], UnbiasedSpaceSaving]
+__all__ = ["ShardedSketch", "merge_shard_states", "ranked_pairs"]
 
 
-class ShardedSketch(DisjointUnionQueries, SerializableSketch):
+def merge_shard_states(
+    shard_states: Sequence[Tuple[Mapping[Item, float], float]],
+) -> Tuple[Dict[Item, float], float]:
+    """The disjoint union of per-shard ``(bins, total_weight)`` states.
+
+    Bins add up label by label and only positive counts are kept, as
+    floats; totals add.  Over disjoint shards this is exactly the
+    unbiased merge at union capacity, whose reduction is the identity,
+    so no sampling noise enters the read path.
+    """
+    if not shard_states:
+        raise InvalidParameterError("merge_shard_states needs at least one shard")
+    union: Dict[Item, float] = {}
+    total = 0.0
+    for bins, shard_total in shard_states:
+        for item, count in bins.items():
+            if count > 0:
+                union[item] = union.get(item, 0.0) + float(count)
+        total += float(shard_total)
+    return union, total
+
+
+def ranked_pairs(
+    bins: Mapping[Item, float],
+    *,
+    k: Optional[int] = None,
+    threshold: Optional[float] = None,
+) -> List[Tuple[Item, float]]:
+    """Bins ranked by descending count, ties broken by ``repr(item)``.
+
+    ``threshold`` keeps only strictly-positive bins at or above it (the
+    heavy-hitter filter); ``k`` truncates.
+    """
+    pairs = [
+        (item, count)
+        for item, count in bins.items()
+        if threshold is None or (count >= threshold and count > 0)
+    ]
+    pairs.sort(key=lambda pair: (-pair[1], repr(pair[0])))
+    return pairs if k is None else pairs[:k]
+
+
+class ShardedSketch(SerializableSketch):
     """Hash-partitioned ensemble of Unbiased Space Saving shards.
 
     Parameters
@@ -60,10 +104,6 @@ class ShardedSketch(DisjointUnionQueries, SerializableSketch):
     merge_method:
         Reduction used by :meth:`merged`; see
         :func:`repro.core.merge.reduce_bins_unbiased`.
-    shard_factory:
-        Optional ``(shard_index, shard_seed) -> sketch`` override for
-        building the per-shard sketches, e.g. to derive shard seeds
-        differently.
 
     Example
     -------
@@ -82,7 +122,6 @@ class ShardedSketch(DisjointUnionQueries, SerializableSketch):
         *,
         seed: Optional[int] = None,
         merge_method: str = "pps",
-        shard_factory: Optional[ShardFactory] = None,
     ) -> None:
         if num_shards < 1:
             raise InvalidParameterError("num_shards must be positive")
@@ -91,14 +130,10 @@ class ShardedSketch(DisjointUnionQueries, SerializableSketch):
         self._seed = seed
         self._hash_seed = seed if seed is not None else 0
         self._merge_method = merge_method
-        if shard_factory is None:
-            shard_factory = lambda index, shard_seed: UnbiasedSpaceSaving(  # noqa: E731
-                capacity, seed=shard_seed
-            )
         # With no seed the shards stay entropy-seeded (like the scalar
         # sketch); with one, shard i gets seed + i for full reproducibility.
         self._shards: Tuple[UnbiasedSpaceSaving, ...] = tuple(
-            shard_factory(index, None if seed is None else seed + index)
+            UnbiasedSpaceSaving(capacity, seed=None if seed is None else seed + index)
             for index in range(num_shards)
         )
         self._rows_processed = 0
@@ -164,9 +199,9 @@ class ShardedSketch(DisjointUnionQueries, SerializableSketch):
         """Collapse a batch once, then scatter it across the shards.
 
         The batch is pre-aggregated globally so the routing hash runs once
-        per *distinct* item; each shard then ingests its slice through its
-        own ``update_batch``.  Query answers are identical to feeding the
-        same collapsed pairs through :meth:`update` row by row.
+        per *distinct* item; each shard then ingests its already-unique
+        slice without collapsing it again.  Query answers are identical to
+        feeding the same collapsed pairs through :meth:`update` row by row.
         """
         unique, collapsed, row_count, total = collapse_batch(items, weights)
         if not unique:
@@ -175,35 +210,98 @@ class ShardedSketch(DisjointUnionQueries, SerializableSketch):
             unique, collapsed, self._num_shards, seed=self._hash_seed
         )
         for sketch, (shard_items, shard_weights) in zip(self._shards, partitions):
-            if not shard_items:
-                continue
-            # The global collapse already made the pairs unique, so feed them
-            # through the no-recollapse path when the shard offers one.
-            ingest = getattr(sketch, "_ingest_collapsed", None)
-            if ingest is not None:
-                ingest(
+            if shard_items:
+                sketch._ingest_collapsed(
                     shard_items,
                     shard_weights,
                     len(shard_items),
                     float(sum(shard_weights)),
                 )
-            else:
-                sketch.update_batch(shard_items, shard_weights)
         self._rows_processed += row_count
         self._total_weight += total
         self._version += 1
         return self
 
-    # ------------------------------------------------------------------
-    # Queries: the disjoint-union surface comes from DisjointUnionQueries
-    # (estimate, estimates, subset sums, heavy hitters, top_k,
-    # total_estimate, merged) via these two hooks.
-    # ------------------------------------------------------------------
-    def _query_shards(self) -> Tuple[UnbiasedSpaceSaving, ...]:
-        return self._shards
+    def extend(self, rows) -> "ShardedSketch":
+        """Consume an iterable of rows (bare items or ``(item, weight)`` pairs)."""
+        for item, weight in iter_weighted_rows(rows):
+            self.update(item, weight)
+        return self
 
-    def _owning_shard(self, item: Item) -> UnbiasedSpaceSaving:
-        return self.shard_for(item)
+    # ------------------------------------------------------------------
+    # Queries over the disjoint union of the shards
+    # ------------------------------------------------------------------
+    def estimate(self, item: Item) -> float:
+        """Point estimate from the owning shard (unbiased; 0 when absent)."""
+        return self.shard_for(item).estimate(item)
+
+    def estimates(self) -> Dict[Item, float]:
+        """All retained items across shards (disjoint union)."""
+        bins, _ = merge_shard_states(
+            [(shard.estimates(), shard.total_weight) for shard in self._shards]
+        )
+        return bins
+
+    def __len__(self) -> int:
+        return sum(len(shard) for shard in self._shards)
+
+    def __contains__(self, item: Item) -> bool:
+        return item in self.shard_for(item)
+
+    def subset_sum(self, predicate: ItemPredicate) -> float:
+        """Unbiased subset sum over the union of the shards' data."""
+        return float(sum(shard.subset_sum(predicate) for shard in self._shards))
+
+    def subset_sum_with_error(self, predicate: ItemPredicate) -> EstimateWithError:
+        """Subset sum with variance: shard estimates are independent, so
+        their equation-5 variance estimates add."""
+        estimate = 0.0
+        variance = 0.0
+        for shard in self._shards:
+            shard_result = shard.subset_sum_with_error(predicate)
+            estimate += shard_result.estimate
+            variance += shard_result.variance
+        return EstimateWithError(estimate=estimate, variance=variance)
+
+    def top_k(self, k: int) -> List[Tuple[Item, float]]:
+        """The ``k`` largest estimated counts across the ensemble."""
+        if k < 0:
+            raise InvalidParameterError("k must be non-negative")
+        return ranked_pairs(self.estimates(), k=k)
+
+    def heavy_hitters(self, phi: float) -> Dict[Item, float]:
+        """Items at or above relative frequency ``phi`` of the *global* weight."""
+        if not 0 < phi <= 1:
+            raise InvalidParameterError("phi must lie in (0, 1]")
+        return dict(
+            ranked_pairs(self.estimates(), threshold=phi * self._total_weight)
+        )
+
+    def total_estimate(self) -> float:
+        """Exact total ingested weight (each shard preserves its total)."""
+        return float(sum(shard.total_estimate() for shard in self._shards))
+
+    def merged(self, capacity=None, *, seed=None) -> UnbiasedSpaceSaving:
+        """Merge all shards into one unbiased sketch via ``merge_many_unbiased``.
+
+        The result is cached per ``(state, capacity)`` so repeated queries
+        between updates reuse the same merge; pass ``seed`` to override the
+        reduction seed (which also bypasses the cache).
+        """
+        target = capacity or self._capacity
+        if seed is None and self._merged_cache is not None:
+            version, cached_capacity, cached = self._merged_cache
+            if version == self._version and cached_capacity == target:
+                return cached
+        merged = merge_many_unbiased(
+            self._shards,
+            capacity=target,
+            method=self._merge_method,
+            seed=self._seed if seed is None else seed,
+        )
+        if seed is None:
+            self._merged_cache = (self._version, target, merged)
+        return merged
 
     def __repr__(self) -> str:
         return (
@@ -235,10 +333,8 @@ class ShardedSketch(DisjointUnionQueries, SerializableSketch):
 
     @classmethod
     def _from_serial_state(cls, meta, arrays):
-        # Shard frames are restored through the registry so a custom
-        # shard_factory producing any registered sketch type round-trips.
-        from repro.io.registry import load_bytes
-
+        # Frames of the removed multiprocess executor carry the same state
+        # plus two pool settings in ``meta``, which are ignored here.
         sketch = cls.__new__(cls)
         sketch._capacity = int(meta["capacity"])
         sketch._num_shards = int(meta["num_shards"])
@@ -246,7 +342,7 @@ class ShardedSketch(DisjointUnionQueries, SerializableSketch):
         sketch._hash_seed = int(meta["hash_seed"])
         sketch._merge_method = meta["merge_method"]
         sketch._shards = tuple(
-            load_bytes(arrays[f"shard_{index}"].tobytes())
+            UnbiasedSpaceSaving.from_bytes(arrays[f"shard_{index}"].tobytes())
             for index in range(sketch._num_shards)
         )
         sketch._rows_processed = int(meta["rows_processed"])

@@ -36,7 +36,6 @@ _SKETCH_MODULES: Dict[str, str] = {
     "StreamingPrioritySampler": "repro.sampling.priority",
     "ReservoirSampler": "repro.sampling.reservoir",
     "ShardedSketch": "repro.distributed.sharded",
-    "ParallelSketchExecutor": "repro.distributed.parallel",
     "TumblingWindowSketch": "repro.windows.windowed",
     "SlidingWindowSketch": "repro.windows.windowed",
     "DecayedWindowSketch": "repro.windows.decayed",
@@ -47,6 +46,11 @@ _SKETCH_MODULES: Dict[str, str] = {
     "DriverCheckpoint": "repro.connectors.driver",
 }
 
+#: Retired type names whose frames load as a current class.  The removed
+#: multiprocess executor wrote a ``ShardedSketch`` state plus two pool
+#: settings, which ``ShardedSketch`` ignores.
+_LOADS_AS: Dict[str, str] = {"ParallelSketchExecutor": "ShardedSketch"}
+
 
 def registered_types() -> Dict[str, str]:
     """Snapshot of the ``type name -> module`` registry."""
@@ -55,6 +59,7 @@ def registered_types() -> Dict[str, str]:
 
 def resolve_sketch_type(type_name: str) -> Type:
     """Import and return the class registered under ``type_name``."""
+    type_name = _LOADS_AS.get(type_name, type_name)
     module_path = _SKETCH_MODULES.get(type_name)
     if module_path is None:
         raise SerializationError(

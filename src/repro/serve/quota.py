@@ -177,7 +177,7 @@ class TenantQuota:
 def resident_counters(estimator: Any) -> int:
     """Estimate how many counters ``estimator`` keeps resident.
 
-    Sharded and parallel ensembles multiply their per-shard capacity by
+    Sharded ensembles multiply their per-shard capacity by
     the shard count; windowed pane rings multiply by the live pane bound;
     anything without a known capacity accounts as a single counter (it
     still occupies a session slot).

@@ -163,7 +163,7 @@ class SketchRegistry:
         ``build_kwargs`` pass straight through to the facade (``backend=``,
         ``window=``, ``seed=``, ``num_shards=``, spec extras, ...), so a
         served session supports exactly what a local one does — including
-        the sharded and multiprocess parallel backends.
+        the sharded backend.
         """
         session = build(spec, size=size, **build_kwargs)
         try:

@@ -322,7 +322,7 @@ class SketchServer(JsonLinesEndpoint):
         if size is None:
             raise InvalidParameterError("'create' needs a size")
         build_kwargs = dict(request.get("params") or {})
-        for field in ("backend", "window", "seed", "num_shards", "num_workers"):
+        for field in ("backend", "window", "seed", "num_shards"):
             if request.get(field) is not None:
                 build_kwargs[field] = request[field]
         served = self._registry.create(

@@ -143,7 +143,7 @@ def demote_session(
     ``None`` when no demotion applied — the session was already small
     enough, is windowed (collapsing panes would destroy the window
     semantics the key was created with), or has no §5.5 reduction.
-    Sharded and parallel ensembles demote through their ``merged()``
+    Sharded ensembles demote through their ``merged()``
     reduction; inline Unbiased Space Saving goes through
     :func:`~repro.core.merge.reduce_bins_unbiased` +
     :meth:`~repro.core.unbiased_space_saving.UnbiasedSpaceSaving.from_bins`

@@ -4,17 +4,22 @@ The scenario mirrors the paper's sorted-stream experiments (figures 8-10):
 a stream ordered by epoch, queried per epoch after ingestion.  A process
 consuming such a stream is checkpointed mid-flight, "crashes", is restored
 from the checkpoint, and finishes the stream — and must end up in exactly
-the state an uninterrupted run reaches, for a single sketch, a sharded
-ensemble and the multiprocess executor alike.
+the state an uninterrupted run reaches, for a single sketch and a sharded
+ensemble alike, including when a fresh interpreter does the restoring.
 """
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro.core.unbiased_space_saving import UnbiasedSpaceSaving
-from repro.distributed.parallel import ParallelSketchExecutor
 from repro.distributed.sharded import ShardedSketch
 from repro.io import load_checkpoint, save_checkpoint
 from repro.streams.epochs import EpochPartition
@@ -155,10 +160,10 @@ def test_windowed_session_checkpoint_mid_rotation(tmp_path):
     assert restored.merged(seed=0).estimates() == final.merged(seed=0).estimates()
 
 
-def test_executor_checkpoint_crosses_process_generations(tmp_path, epoch_setup):
-    # The executor that resumes from the checkpoint uses a *real* worker
-    # pool while the original ran inline — the checkpoint carries shard
-    # frames, so the process topology on either side is irrelevant.
+def test_sharded_checkpoint_resumes_in_a_fresh_process(tmp_path, epoch_setup):
+    # A new interpreter finishes the stream from the checkpoint alone: the
+    # frame carries every shard's bins and RNG state plus the routing seed,
+    # and type-dispatched loading needs no class named up front.
     partition, rows = epoch_setup
     batches = [
         np.asarray(rows[start : start + 4000]) for start in range(0, len(rows), 4000)
@@ -169,23 +174,34 @@ def test_executor_checkpoint_crosses_process_generations(tmp_path, epoch_setup):
     for batch in batches:
         uninterrupted.update_batch(batch)
 
-    first = ParallelSketchExecutor(40, 4, seed=SEED, num_workers=0)
+    first = ShardedSketch(capacity=40, num_shards=4, seed=SEED)
     for batch in batches[:half]:
         first.update_batch(batch)
-    checkpoint = tmp_path / "executor.ckpt"
-    first.save_checkpoint(checkpoint)
+    save_checkpoint(first, tmp_path / "first.ckpt")
+    np.savez(tmp_path / "rest.npz", *batches[half:])
 
-    resumed = ParallelSketchExecutor.load_checkpoint(checkpoint)
-    assert resumed.num_workers == first.num_workers
-    with ParallelSketchExecutor(40, 4, seed=SEED, num_workers=2) as pooled:
-        # Graft the checkpointed frames into the pooled executor to finish
-        # the stream across processes.
-        pooled._shard_states = resumed.shard_states()
-        pooled._rows_processed = resumed.rows_processed
-        pooled._total_weight = resumed.total_weight
-        for batch in batches[half:]:
-            pooled.update_batch(batch)
-        assert pooled.estimates() == uninterrupted.estimates()
-        assert _epoch_estimates(pooled, partition) == _epoch_estimates(
-            uninterrupted, partition
-        )
+    script = (
+        "import sys, numpy as np\n"
+        "from repro.io import load_checkpoint, save_checkpoint\n"
+        "sketch = load_checkpoint(sys.argv[1])\n"
+        "rest = np.load(sys.argv[2])\n"
+        "for index in range(len(rest.files)):\n"
+        "    sketch.update_batch(rest[f'arr_{index}'])\n"
+        "save_checkpoint(sketch, sys.argv[3])\n"
+    )
+    source = str(Path(repro.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [source, os.environ.get("PYTHONPATH")])
+    )}
+    subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path / "first.ckpt"),
+         str(tmp_path / "rest.npz"), str(tmp_path / "second.ckpt")],
+        check=True, env=env, timeout=120,
+    )
+
+    resumed = load_checkpoint(tmp_path / "second.ckpt", expected_type=ShardedSketch)
+    assert resumed.estimates() == uninterrupted.estimates()
+    assert resumed.rows_processed == uninterrupted.rows_processed
+    assert _epoch_estimates(resumed, partition) == _epoch_estimates(
+        uninterrupted, partition
+    )

@@ -395,6 +395,34 @@ class TestClusterAdmin:
 
         run(scenario())
 
+    def test_retired_parallel_backend_creates_nothing(self, tmp_path):
+        """Server and router both refuse ``backend: "parallel"`` with a
+        typed error envelope, and no session appears anywhere."""
+
+        async def scenario():
+            cluster = await _cluster(tmp_path, n=2)
+            member = cluster.servers["m0"]
+            direct = await TCPServeClient.connect(*member.address)
+            try:
+                for client, shards in ((direct, None), (cluster.client, None),
+                                       (cluster.client, 2)):
+                    with pytest.raises(InvalidParameterError, match="parallel"):
+                        await client.request(
+                            "create", session="p", spec=SPEC, size=16,
+                            backend="parallel", shards=shards,
+                        )
+                    assert await client.list_sessions() == []
+                for server in cluster.servers.values():
+                    assert list(server.registry) == []
+                # Both connections survived, and the name is still free.
+                await cluster.client.create("p", SPEC, size=16, shards=2)
+                await direct.create("p", SPEC, size=16, backend="sharded")
+            finally:
+                await direct.close()
+                await cluster.close()
+
+        run(scenario())
+
     def test_metrics_aggregates_members(self, tmp_path):
         async def scenario():
             cluster = await _cluster(tmp_path)

@@ -1,17 +1,18 @@
-"""Cross-mode invariants for the columnar kernel: one workload, five modes.
+"""Cross-mode invariants for the columnar kernel: one workload, four modes.
 
 The columnar store is now the default under every execution mode — inline,
-hash-sharded, multiprocess parallel, windowed and served.  This suite pushes
-one seeded workload through all five and asserts the invariants that must
-hold regardless of mode:
+hash-sharded, windowed and served.  This suite pushes one seeded workload
+through all four and asserts the invariants that must hold regardless of
+mode:
 
 * identical ``rows_processed`` and ``total_weight`` bookkeeping everywhere;
 * in the *exact regime* (distinct items <= capacity, so no bin is ever
   contested) identical estimates and identical ``EstimateWithError`` values
-  across all five modes;
+  across all four modes;
 * in the *churn regime* (distinct >> capacity) bit-identical results between
   the mode pairs defined to be equivalent: inline vs served (batch
-  boundaries preserved), sharded vs parallel (same routing + shard seeds);
+  boundaries preserved), in-process sharded vs served sharded (same
+  routing, shard seeds and batch boundaries);
 * at a registry scale of >= 1000 served sessions, per-session isolation —
   every session's estimates match an inline replica of its own workload,
   which would catch free-slot-recycling aliasing (a recycled slot leaking
@@ -54,7 +55,7 @@ def drain_served(served_sessions, batch_lists):
 class TestExactRegimeAllModes:
     """distinct <= capacity: every mode must agree exactly, variance 0."""
 
-    def test_five_modes_identical(self):
+    def test_four_modes_identical(self):
         rng = np.random.default_rng(SEED)
         items = reference_workload(rng, universe=48, rows=4000)
         batches = batches_of(items, 512)
@@ -64,10 +65,6 @@ class TestExactRegimeAllModes:
         sharded = repro.build(
             "unbiased_space_saving", size=64, seed=7,
             backend="sharded", num_shards=4,
-        )
-        parallel = repro.build(
-            "unbiased_space_saving", size=64, seed=7,
-            backend="parallel", num_shards=4, num_workers=2,
         )
         windowed = repro.build(
             "unbiased_space_saving", size=64, seed=7, window="tumbling:1h",
@@ -79,14 +76,12 @@ class TestExactRegimeAllModes:
             for position, batch in enumerate(batches):
                 inline.update_batch(batch)
                 sharded.update_batch(batch)
-                parallel.update_batch(batch)
                 windowed.update_batch(batch, timestamps=timestamps[position])
             drain_served([served], [batches])
 
             sessions = {
                 "inline": inline,
                 "sharded": sharded,
-                "parallel": parallel,
                 "windowed": windowed,
                 "served": served.session,
             }
@@ -107,7 +102,6 @@ class TestExactRegimeAllModes:
                 assert answers[name] == answers["inline"], name
                 assert answers[name].variance == 0.0, name
         finally:
-            parallel.close()
             asyncio.run(registry.aclose_all())
 
 
@@ -139,7 +133,7 @@ class TestChurnRegimePairs:
         finally:
             asyncio.run(registry.aclose_all())
 
-    def test_sharded_equals_parallel(self):
+    def test_sharded_equals_served_sharded(self):
         rng = np.random.default_rng(SEED + 2)
         items = reference_workload(rng, universe=3000, rows=20000)
         batches = batches_of(items, 1000)
@@ -148,23 +142,25 @@ class TestChurnRegimePairs:
             "unbiased_space_saving", size=32, seed=13,
             backend="sharded", num_shards=4,
         )
-        parallel = repro.build(
-            "unbiased_space_saving", size=32, seed=13,
-            backend="parallel", num_shards=4, num_workers=2,
+        registry = SketchRegistry(coalesce=1)
+        served = registry.create(
+            "churn", "unbiased_space_saving", size=32, seed=13,
+            backend="sharded", num_shards=4,
         )
         try:
             for batch in batches:
                 sharded.update_batch(batch)
-                parallel.update_batch(batch)
-            assert parallel.estimates() == sharded.estimates()
-            assert parallel.rows_processed == sharded.rows_processed
-            assert parallel.total_weight == sharded.total_weight
+            drain_served([served], [batches])
+
+            assert served.session.estimates() == sharded.estimates()
+            assert served.session.rows_processed == sharded.rows_processed
+            assert served.session.total_weight == sharded.total_weight
             kept = set(list(sharded.estimates())[:16])
-            assert parallel.subset_sum(
+            assert served.session.subset_sum(
                 lambda item: item in kept
             ) == sharded.subset_sum(lambda item: item in kept)
         finally:
-            parallel.close()
+            asyncio.run(registry.aclose_all())
 
 
 class TestRegistryScaleIsolation:

@@ -277,13 +277,10 @@ def test_session_repr_names_spec_and_backend():
 
 
 def test_ensemble_reprs():
-    from repro.distributed.parallel import ParallelSketchExecutor
     from repro.distributed.sharded import ShardedSketch
 
     sharded = ShardedSketch(8, 4, seed=0)
     assert "num_shards=4" in repr(sharded)
-    with ParallelSketchExecutor(8, 4, seed=0, num_workers=0) as executor:
-        assert "num_workers=0" in repr(executor)
 
 
 # ----------------------------------------------------------------------

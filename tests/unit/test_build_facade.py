@@ -1,8 +1,8 @@
 """``repro.build`` facade tests.
 
 Covers: sessions for every registered spec, backend-transparent equality
-(inline / sharded / parallel sessions equal to the hand-constructed
-sketches and executors on a seeded workload), the normalized query
+(inline / sharded sessions equal to the hand-constructed sketches and
+ensembles on a seeded workload), the normalized query
 surface (EstimateWithError / QueryResult everywhere), construction
 validation, and query-engine integration.
 
@@ -24,7 +24,6 @@ from repro.api import (
 )
 from repro.core.unbiased_space_saving import UnbiasedSpaceSaving
 from repro.core.variance import EstimateWithError
-from repro.distributed.parallel import ParallelSketchExecutor
 from repro.distributed.sharded import ShardedSketch
 from repro.errors import CapabilityError, InvalidParameterError
 from repro.query.engine import SketchQueryEngine
@@ -119,46 +118,6 @@ def test_sharded_session_equals_hand_built_sharded(chunked_workload):
     predicate = lambda item: item % 3 == 0  # noqa: E731
     assert session.subset_sum(predicate) == direct.subset_sum_with_error(predicate)
     assert session.merged(seed=7).estimates() == direct.merged(seed=7).estimates()
-
-
-def test_parallel_session_equals_hand_built_executor(chunked_workload):
-    with build(
-        "unbiased_space_saving",
-        size=CAPACITY,
-        backend="parallel",
-        num_shards=NUM_SHARDS,
-        num_workers=0,
-        seed=SEED,
-    ) as session:
-        _ingest_chunks(session, chunked_workload)
-        with ParallelSketchExecutor(
-            CAPACITY, NUM_SHARDS, seed=SEED, num_workers=0
-        ) as direct:
-            _ingest_chunks(direct, chunked_workload)
-            assert session.estimates() == direct.estimates()
-            assert session.total().estimate == direct.total_estimate()
-
-
-def test_all_backends_agree_on_seeded_workload(chunked_workload):
-    """sharded and parallel answers coincide shard for shard."""
-    sessions = {
-        backend: build(
-            "unbiased_space_saving",
-            size=CAPACITY,
-            backend=backend,
-            num_shards=NUM_SHARDS,
-            seed=SEED,
-            **({"num_workers": 0} if backend == "parallel" else {}),
-        )
-        for backend in ("sharded", "parallel")
-    }
-    for session in sessions.values():
-        _ingest_chunks(session, chunked_workload)
-    assert sessions["sharded"].estimates() == sessions["parallel"].estimates()
-    assert (
-        sessions["sharded"].total().estimate == sessions["parallel"].total().estimate
-    )
-    sessions["parallel"].close()
 
 
 def test_numpy_batches_route_through_backends(chunked_workload):
@@ -282,6 +241,13 @@ def test_inline_rejects_scale_out_arguments():
         build("unbiased_space_saving", size=8, num_shards=4)
     with pytest.raises(InvalidParameterError):
         build("unbiased_space_saving", size=8, num_workers=2)
+
+
+def test_retired_parallel_backend_is_a_typed_error():
+    with pytest.raises(InvalidParameterError, match="parallel"):
+        build("unbiased_space_saving", size=8, backend="parallel")
+    with pytest.raises(InvalidParameterError, match="num_workers"):
+        build("unbiased_space_saving", size=8, backend="sharded", num_workers=2)
 
 
 def test_unknown_spec_parameters_rejected():

@@ -125,17 +125,17 @@ class TestCheckPerf:
         assert set(throughputs) >= {"scalar", "batched", "serve"}
         assert all(value > 0 for value in throughputs.values())
 
-    def test_committed_baseline_exercises_the_worker_pool(self):
-        """num_workers must stay >= 2 so 'parallel' really spans processes."""
+    def test_committed_baseline_exercises_several_shards(self):
+        """num_shards must stay >= 2 so 'sharded' really routes across shards."""
         record = check_perf.load_record(check_perf.DEFAULT_BASELINE)
-        assert record["config"]["num_workers"] >= 2
+        assert record["config"]["num_shards"] >= 2
 
 
 class TestConfigMatchRefusal:
     """A baseline measured under a different config is not comparable."""
 
     WORKLOAD = {"distribution": "zipf(s=1.1)", "rows": 1000, "seed": 0}
-    CONFIG = {"capacity": 256, "num_shards": 4, "num_workers": 2}
+    CONFIG = {"capacity": 256, "num_shards": 4, "num_producers": 4}
 
     def test_matching_configs_compare_normally(self, tmp_path):
         baseline = write_record(
@@ -152,7 +152,7 @@ class TestConfigMatchRefusal:
         baseline = write_record(
             tmp_path / "baseline.json", {"scalar": 1_000.0},
             workload=self.WORKLOAD,
-            config={**self.CONFIG, "num_workers": 1},
+            config={**self.CONFIG, "num_producers": 1},
         )
         record = write_record(
             tmp_path / "record.json", {"scalar": 5_000.0},
@@ -196,7 +196,7 @@ class TestConfigMatchRefusal:
         assert gate(record, target) == 0
 
     def test_mismatch_report_names_the_keys(self, tmp_path):
-        baseline = {"workload": self.WORKLOAD, "config": {**self.CONFIG, "num_workers": 1}}
+        baseline = {"workload": self.WORKLOAD, "config": {**self.CONFIG, "num_producers": 1}}
         current = {"workload": self.WORKLOAD, "config": self.CONFIG}
         problems = check_perf.config_mismatches(baseline, current)
-        assert problems == ["config.num_workers: baseline 1 != record 2"]
+        assert problems == ["config.num_producers: baseline 1 != record 4"]

@@ -227,21 +227,21 @@ class TestScatterBatch:
 
 class TestGatherMerge:
     def test_merge_is_exact_disjoint_union(self):
-        """capacity = union size ⇒ the unbiased reduction is the identity."""
+        """The union of the shards' bins, with their totals summed."""
         shard_states = [
             ({"a": 5.0, "b": 3.0}, 8.0),
             ({"c": 2.5}, 2.5),
             ({}, 0.0),  # empty shard must not break the merge
         ]
-        merged = merge_shard_states(shard_states)
-        assert merged.estimates() == {"a": 5.0, "b": 3.0, "c": 2.5}
-        assert merged.total_weight == 10.5
+        bins, total = merge_shard_states(shard_states)
+        assert bins == {"a": 5.0, "b": 3.0, "c": 2.5}
+        assert total == 10.5
 
     def test_ranked_pairs_orders_like_the_query_layer(self):
-        merged = merge_shard_states([({"b": 2.0, "a": 2.0, "c": 5.0}, 9.0)])
-        assert ranked_pairs(merged) == [("c", 5.0), ("a", 2.0), ("b", 2.0)]
-        assert ranked_pairs(merged, k=1) == [("c", 5.0)]
-        assert ranked_pairs(merged, threshold=3.0) == [("c", 5.0)]
+        bins, _ = merge_shard_states([({"b": 2.0, "a": 2.0, "c": 5.0}, 9.0)])
+        assert ranked_pairs(bins) == [("c", 5.0), ("a", 2.0), ("b", 2.0)]
+        assert ranked_pairs(bins, k=1) == [("c", 5.0)]
+        assert ranked_pairs(bins, threshold=3.0) == [("c", 5.0)]
 
     def test_empty_input_rejected(self):
         with pytest.raises(InvalidParameterError):

@@ -16,6 +16,14 @@ Two guarantees are pinned here:
    row counts, label replacements and acquisition errors restore
    exactly; loading is deterministic; continuation is unbiased but not
    draw-identical to the writer.
+3. Frames written by the removed multiprocess ``ParallelSketchExecutor``
+   load as a :class:`~repro.distributed.sharded.ShardedSketch`.  The golden
+   ``parallel_executor`` frame was written by the last version that had
+   the executor (commit 89b21ff).  Its state is a ``ShardedSketch`` state
+   plus two pool settings, so it restores exactly and continues
+   bit-identically to a ``ShardedSketch`` built from the same state, and a
+   served checkpoint recorded under the ``"parallel"`` backend label
+   restores as ``"sharded"``.
 """
 
 from __future__ import annotations
@@ -30,10 +38,13 @@ import pytest
 
 from repro.core.deterministic_space_saving import DeterministicSpaceSaving
 from repro.core.unbiased_space_saving import UnbiasedSpaceSaving
+from repro.distributed.sharded import ShardedSketch
 from repro.errors import SerializationError
 from repro.io import load_bytes
 from repro.io.codec import decode_item, pack_envelope, unpack_envelope
-from repro.serve import SketchServer, TCPServeClient
+from repro.serve import SketchServer, TCPServeClient, restore_registry
+from repro.serve.checkpoint import MANIFEST_FORMAT, MANIFEST_NAME, MANIFEST_VERSION
+from repro.serve.registry import DEFAULT_TENANT
 
 LEGACY = Path(__file__).resolve().parent.parent / "data" / "legacy_frames"
 EXPECTED = json.loads((LEGACY / "expected.json").read_text())
@@ -143,7 +154,7 @@ def test_legacy_frame_restores_exactly(name):
     if isinstance(sketch, DeterministicSpaceSaving):
         for label, (_, error) in bins.items():
             assert sketch.acquisition_error(label) == error
-    else:
+    elif isinstance(sketch, UnbiasedSpaceSaving):
         assert sketch.label_replacements == expected["label_replacements"]
 
 
@@ -163,3 +174,62 @@ def test_legacy_frame_loads_deterministically_and_continues(name):
     # The re-written frame is a columnar one and round-trips exactly.
     reloaded = load_bytes(first.to_bytes())
     assert reloaded.estimates() == first.estimates()
+
+
+EXECUTOR_FRAME = (LEGACY / "parallel_executor.bin").read_bytes()
+
+
+def _continue(sketch):
+    rng = np.random.default_rng(3)
+    for _ in range(3):
+        labels = [f"s{int(v)}" for v in rng.integers(0, 60, 200)]
+        sketch.update_batch(labels, rng.exponential(1.0, len(labels)))
+    sketch.update(("t", 2), 4.0)
+    return sketch
+
+
+def test_legacy_executor_frame_continues_like_a_sharded_sketch():
+    legacy = load_bytes(EXECUTOR_FRAME)
+    assert type(legacy) is ShardedSketch
+    assert legacy.num_shards == 3
+    type_name, _, meta, arrays = unpack_envelope(EXECUTOR_FRAME)
+    assert type_name == "ParallelSketchExecutor"
+    assert {meta.pop("num_workers"), meta.pop("mp_context")} == {0, None}
+    same_state = ShardedSketch.from_bytes(pack_envelope("ShardedSketch", meta, arrays))
+    assert same_state.to_bytes() == legacy.to_bytes()
+
+    _continue(legacy)
+    _continue(same_state)
+    assert legacy.estimates() == same_state.estimates()
+    assert legacy.rows_processed == same_state.rows_processed
+    assert legacy.total_weight == same_state.total_weight
+    assert legacy.to_bytes() == same_state.to_bytes()
+
+
+def test_served_checkpoint_labelled_parallel_restores_as_sharded(tmp_path):
+    expected = EXPECTED["parallel_executor"]
+    (tmp_path / "legacy.ckpt").write_bytes(EXECUTOR_FRAME)
+    manifest = {
+        "format": MANIFEST_FORMAT,
+        "version": MANIFEST_VERSION,
+        "sessions": [{
+            "tenant": DEFAULT_TENANT,
+            "name": "legacy",
+            "file": "legacy.ckpt",
+            "spec": "unbiased_space_saving",
+            "backend": "parallel",
+            "window": None,
+            "ttl": None,
+            "rows_applied": expected["rows_processed"],
+        }],
+    }
+    (tmp_path / MANIFEST_NAME).write_text(json.dumps(manifest))
+
+    registry = restore_registry(tmp_path)
+    session = registry.get("legacy").session
+    assert session.backend == "sharded"
+    assert session.describe()["backend"] == "sharded"
+    assert type(session.estimator) is ShardedSketch
+    bins = _expected_bins("parallel_executor")
+    assert session.estimates() == {label: row[0] for label, row in bins.items()}
+    asyncio.run(registry.aclose_all())

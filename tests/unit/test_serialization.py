@@ -130,13 +130,13 @@ def test_numpy_scalar_labels_round_trip():
     assert restored.estimate(1) == 2.0
 
 
-def test_parallel_executor_accepts_numpy_scalar_lists():
-    from repro.distributed.parallel import ParallelSketchExecutor
-
-    executor = ParallelSketchExecutor(8, 2, seed=0, num_workers=0)
-    executor.update_batch([np.int64(1), np.int64(2), np.int64(1)])
-    assert executor.estimate(1) == 2.0
-    assert executor.rows_processed == 3
+def test_sharded_sketch_accepts_numpy_scalar_lists():
+    sharded = ShardedSketch(8, 2, seed=0)
+    sharded.update_batch([np.int64(1), np.int64(2), np.int64(1)])
+    assert sharded.estimate(1) == 2.0
+    assert sharded.rows_processed == 3
+    restored = load_bytes(sharded.to_bytes())
+    assert restored.estimates() == sharded.estimates() == {1: 2.0, 2: 1.0}
 
 
 def test_tuple_labels_round_trip():

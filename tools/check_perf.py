@@ -17,11 +17,10 @@ silently dropping a mode is how regressions hide.
 Before any comparison, the gate verifies the two records describe the
 *same measurement*: their ``workload`` and ``config`` sections must be
 equal, or the gate refuses outright (exit 2) — a baseline recorded under
-a different batch size, shard count or worker-pool size is not a valid
-comparison target, and silently comparing against one is how a stale
-``num_workers: 1`` baseline once let the parallel mode dodge the pool
-entirely.  Refresh a legitimately-changed baseline with
-``--update-baseline``.
+a different batch size, shard count or producer count is not a valid
+comparison target, and silently comparing against one would let a
+regression hide behind numbers measured on an easier configuration.
+Refresh a legitimately-changed baseline with ``--update-baseline``.
 
 Runner-to-runner noise is real: the threshold is deliberately loose, and
 ``--normalize scalar`` makes the comparison machine-relative (each
@@ -66,8 +65,8 @@ def load_throughputs(path: Path) -> Dict[str, float]:
 
 #: Sections that define *what* was measured.  A baseline recorded under a
 #: different workload or configuration is not a valid comparison target:
-#: e.g. a baseline whose parallel mode ran with ``num_workers: 1`` would
-#: let a pool regression hide behind the inline path's numbers.
+#: e.g. a baseline whose sharded mode ran with ``num_shards: 1`` would let
+#: a routing regression hide behind single-shard numbers.
 _IDENTITY_SECTIONS = ("workload", "config")
 
 
