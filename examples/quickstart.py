@@ -79,16 +79,16 @@ def main(num_rows: int = 200_000) -> None:
     # ------------------------------------------------------------------
     # 5. The same workload, scale-out: identical queries, sharded backend.
     # ------------------------------------------------------------------
-    with repro.build(
+    sharded = repro.build(
         "unbiased_space_saving", size=500, backend="sharded", num_shards=8, seed=42
-    ) as sharded:
-        sharded.update_batch(stream)
-        sharded_estimate = sharded.subset_sum(advertiser_filter)
-        print(
-            f"\nsharded backend ({sharded.estimator.num_shards} shards): "
-            f"advertiser estimate {sharded_estimate.estimate:,.0f} "
-            f"(± {sharded_estimate.std_error:,.0f})"
-        )
+    )
+    sharded.update_batch(stream)
+    sharded_estimate = sharded.subset_sum(advertiser_filter)
+    print(
+        f"\nsharded backend ({sharded.estimator.num_shards} shards): "
+        f"advertiser estimate {sharded_estimate.estimate:,.0f} "
+        f"(± {sharded_estimate.std_error:,.0f})"
+    )
 
 
 if __name__ == "__main__":

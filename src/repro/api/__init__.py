@@ -15,10 +15,9 @@ Three layers, one import:
   :class:`QueryResult`.
 
 >>> from repro.api import build, capabilities
->>> with build("unbiased_space_saving", size=16, seed=1) as session:
-...     _ = session.extend(["x", "y", "x"])
-...     total = session.total().estimate
->>> total
+>>> session = build("unbiased_space_saving", size=16, seed=1)
+>>> _ = session.extend(["x", "y", "x"])
+>>> session.total().estimate
 3.0
 """
 

@@ -356,14 +356,3 @@ class StreamSession:
         require_capability(self._estimator, SERIALIZE, operation="save_checkpoint")
         self._estimator.save_checkpoint(path)
 
-    def close(self) -> None:
-        """Release the estimator's resources, if it holds any; idempotent."""
-        close = getattr(self._estimator, "close", None)
-        if callable(close):
-            close()
-
-    def __enter__(self) -> "StreamSession":
-        return self
-
-    def __exit__(self, exc_type, exc_value, traceback) -> None:
-        self.close()

@@ -959,7 +959,9 @@ class ClusterRouter(JsonLinesEndpoint):
     # ------------------------------------------------------------------
     async def _op_update(self, request: Dict[str, Any]) -> Dict[str, Any]:
         route = self._route(request)
-        item = protocol.decode_item(request.get("item"))
+        # Checked as a member checks it, before the forward; the wire
+        # values then travel to the shard unchanged.
+        item = protocol.decode_fields(request).get("item")
         return await self._forward(
             route,
             route.shard_of(item),

@@ -4,8 +4,10 @@
 passive :class:`~repro.connectors.base.SourceProtocol` into a live
 pipeline.  Each **tick** polls every partition once (up to
 ``batch_rows`` rows each), pushes the batches into a served session
-through a :class:`~repro.serve.client.ServeClient` or
-:class:`~repro.serve.client.TCPServeClient`, and — critically — commits
+through either transport of the one client surface
+(:class:`~repro.serve.client.ServeClient` in process,
+:class:`~repro.serve.client.TCPServeClient` over a socket), and —
+critically — commits
 a partition's offset only *after* its rows have been flushed through the
 session's single-writer queue.  At every point the driver can observe,
 its offset table therefore describes exactly the rows the sketch has
@@ -149,9 +151,10 @@ class PipelineDriver:
         Any :class:`~repro.connectors.base.SourceProtocol`.
     client:
         A :class:`~repro.serve.client.ServeClient` or
-        :class:`~repro.serve.client.TCPServeClient`; the driver only uses
-        the shared method surface (``update_batch`` / ``flush`` /
-        ``info`` / ``export`` / ``adopt``), so it is transparent to
+        :class:`~repro.serve.client.TCPServeClient`.  Both inherit one
+        method surface (:class:`~repro.serve.client.BaseServeClient`)
+        and run the same server ops; the driver uses ``update_batch`` /
+        ``flush`` / ``info`` / ``export`` / ``adopt``, so it cannot tell
         whether the session lives in process or across a socket.
     session, tenant:
         The served session the pipeline feeds.  It must already exist

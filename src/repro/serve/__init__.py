@@ -16,8 +16,10 @@ Pieces (importable individually):
   LRU-capacity eviction.
 * :class:`ServedSession` — one session behind its bounded ingest queue
   and writer task.
-* :class:`ServeClient` / :class:`TCPServeClient` — in-process and
-  network clients with one method surface and the package's normalized
+* :class:`ServeClient` / :class:`TCPServeClient` — one client method
+  surface over two transports: in process (Python values, callable
+  predicates allowed) and JSON lines over TCP (candidate lists only).
+  Both run the same server ops and return the package's normalized
   result types.
 * :class:`CheckpointScheduler`, :func:`restore_registry` — periodic
   persistence and exact restart.

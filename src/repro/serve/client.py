@@ -1,20 +1,29 @@
-"""Async clients for the sketch server: in-process and TCP.
+"""Async clients for the sketch server: one method surface, two transports.
 
-Both clients expose the same method surface and return the same
-normalized result types the local :class:`~repro.api.session.StreamSession`
-does — :class:`~repro.core.variance.EstimateWithError` for scalar reads,
-:class:`~repro.query.engine.QueryResult` for grouped reads — so query
-code is identical whether the sketch lives in this process, or across a
-socket:
+Every client method is written once, on :class:`BaseServeClient`: it
+passes Python values to ``self._call(op, **fields)``, which returns the
+same normalized result types the local
+:class:`~repro.api.session.StreamSession` does —
+:class:`~repro.core.variance.EstimateWithError` for scalar reads,
+:class:`~repro.query.engine.QueryResult` for grouped reads, plain dicts,
+``bytes`` or ``int`` for the rest — so query code is identical whether
+the sketch lives in this process or across a socket.  Two transports
+implement ``_call``:
 
-* :class:`ServeClient` binds directly to a server's registry.  Zero
-  copies, callable predicates allowed, and backpressure is the real
-  ``await`` on the session's bounded queue — this is the client the
-  benchmark's multi-producer load generators drive.
+* :class:`ServeClient` calls the server's ops in process
+  (:meth:`~repro.serve.server.SketchServer.call`).  No JSON, no label
+  encoding, numpy columns pass through untouched, callable predicates
+  are allowed, and backpressure is the real ``await`` on the session's
+  bounded queue — this is the client the benchmark's multi-producer
+  load generators drive.
 * :class:`TCPServeClient` speaks the JSON-lines protocol of
-  :mod:`repro.serve.protocol`.  Predicates must be candidate lists
-  (callables cannot travel over JSON); remote errors re-raise as their
+  :mod:`repro.serve.protocol`, which encodes the fields and decodes the
+  result by name.  Predicates must be candidate collections (a callable
+  is refused before anything is sent); remote errors re-raise as their
   original :mod:`repro.errors` classes.
+
+The two transports share no other code path: ``TCPServeClient`` is not a
+``ServeClient``.
 """
 
 from __future__ import annotations
@@ -42,7 +51,7 @@ from repro.query.engine import QueryResult
 from repro.serve import protocol
 from repro.serve.registry import DEFAULT_TENANT
 
-__all__ = ["ServeClient", "TCPServeClient", "RemoteServeError"]
+__all__ = ["BaseServeClient", "ServeClient", "TCPServeClient", "RemoteServeError"]
 
 
 class RemoteServeError(ServeError):
@@ -66,25 +75,22 @@ _ERROR_TYPES = {
 }
 
 
-class ServeClient:
-    """In-process async client over a :class:`~repro.serve.server.SketchServer`.
+class BaseServeClient:
+    """The client method surface, written once over a ``_call`` transport.
 
-    All methods take ``tenant=`` (defaulting to the shared ``"default"``
-    namespace) and a session ``name``; reads return normalized estimate
-    objects exactly as the underlying session would.
+    All session methods take ``tenant=`` (defaulting to the shared
+    ``"default"`` namespace) and a session ``name``.  ``None``-valued
+    fields count as absent on both transports.
     """
 
-    def __init__(self, server) -> None:
-        self._server = server
-
-    @property
-    def server(self):
-        return self._server
-
-    def _served(self, name: str, tenant: str):
-        return self._server.registry.get(name, tenant=tenant)
+    async def _call(self, op: str, **fields) -> Any:
+        """Run one protocol op; returns its normalized result."""
+        raise NotImplementedError
 
     # -- lifecycle -----------------------------------------------------
+    async def ping(self) -> Dict[str, Any]:
+        return await self._call("ping")
+
     async def create(
         self,
         name: str,
@@ -94,30 +100,42 @@ class ServeClient:
         tenant: str = DEFAULT_TENANT,
         ttl: Optional[float] = None,
         queue_maxsize: Optional[int] = None,
-        **build_kwargs,
+        backend: Optional[str] = None,
+        window: Optional[str] = None,
+        seed: Optional[int] = None,
+        num_shards: Optional[int] = None,
+        **params,
     ) -> Dict[str, Any]:
-        """Create a served session; returns its ``info`` description."""
-        served = self._server.registry.create(
-            name,
-            spec,
+        """Create a served session; returns its ``info`` description.
+
+        Spec extras go in ``params``; a cluster router also reads
+        ``shards=k`` from there (a single server ignores it).
+        """
+        return await self._call(
+            "create",
+            session=name,
             tenant=tenant,
+            spec=spec,
             size=size,
             ttl=ttl,
             queue_maxsize=queue_maxsize,
-            **build_kwargs,
+            backend=backend,
+            window=window,
+            seed=seed,
+            num_shards=num_shards,
+            params=params or None,
         )
-        return served.describe()
 
     async def drop(self, name: str, *, tenant: str = DEFAULT_TENANT) -> None:
-        self._server.registry.drop(name, tenant=tenant)
+        await self._call("drop", session=name, tenant=tenant)
 
     async def list_sessions(
         self, *, tenant: Optional[str] = None
     ) -> List[Dict[str, Any]]:
-        return self._server.registry.list_sessions(tenant=tenant)
+        return await self._call("list", tenant=tenant)
 
     async def info(self, name: str, *, tenant: str = DEFAULT_TENANT) -> Dict[str, Any]:
-        return self._served(name, tenant).describe()
+        return await self._call("info", session=name, tenant=tenant)
 
     # -- ingest --------------------------------------------------------
     async def update(
@@ -129,7 +147,14 @@ class ServeClient:
         *,
         tenant: str = DEFAULT_TENANT,
     ) -> None:
-        await self._served(name, tenant).put(item, weight, timestamp)
+        await self._call(
+            "update",
+            session=name,
+            tenant=tenant,
+            item=item,
+            weight=weight,
+            timestamp=timestamp,
+        )
 
     async def update_batch(
         self,
@@ -141,36 +166,35 @@ class ServeClient:
         tenant: str = DEFAULT_TENANT,
         block: bool = True,
     ) -> int:
-        """Enqueue a batch; returns rows enqueued (full queue raises when
-        ``block=False``)."""
-        served = self._served(name, tenant)
-        if block:
-            return await served.put_batch(items, weights, timestamps)
-        if not hasattr(items, "__len__"):
-            items = list(items)  # count once; the session reuses the snapshot
-        if not served.offer_batch(items, weights, timestamps):
-            raise BackpressureError(
-                f"ingest queue full for session {tenant!r}/{name!r}; "
-                "retry, or call with block=True to wait"
-            )
-        return len(items)
+        """Enqueue a batch; returns rows enqueued.
+
+        ``block=True`` waits for queue space; with ``block=False`` a full
+        queue raises :class:`~repro.errors.BackpressureError`.
+        """
+        return await self._call(
+            "update_batch",
+            session=name,
+            tenant=tenant,
+            items=items,
+            weights=weights,
+            timestamps=timestamps,
+            block=block,
+        )
 
     async def flush(self, name: str, *, tenant: str = DEFAULT_TENANT) -> int:
         """Wait until every enqueued batch is applied; returns rows applied."""
-        served = self._served(name, tenant)
-        await served.drain()
-        return served.stats.rows_applied
+        return await self._call("flush", session=name, tenant=tenant)
 
     # -- queries -------------------------------------------------------
     async def estimate(
         self, name: str, item: Item, *, tenant: str = DEFAULT_TENANT
     ) -> EstimateWithError:
-        return self._served(name, tenant).estimate(item)
+        return await self._call("estimate", session=name, tenant=tenant, item=item)
 
     async def estimates(
         self, name: str, *, tenant: str = DEFAULT_TENANT
     ) -> Dict[Item, float]:
-        return self._served(name, tenant).estimates()
+        return await self._call("estimates", session=name, tenant=tenant)
 
     async def subset_sum(
         self,
@@ -179,33 +203,35 @@ class ServeClient:
         *,
         tenant: str = DEFAULT_TENANT,
     ) -> EstimateWithError:
-        """Subset sum under a callable predicate or a candidate collection."""
-        if not callable(predicate):
-            members = set(predicate)
-            predicate = lambda item: item in members  # noqa: E731
-        return self._served(name, tenant).subset_sum(predicate)
+        """Subset sum over a candidate collection or under a callable.
+
+        A callable predicate works in process only: the wire cannot carry
+        it, so :class:`TCPServeClient` refuses one with
+        :class:`~repro.errors.InvalidParameterError` before sending.
+        """
+        return await self._call(
+            "subset_sum", session=name, tenant=tenant, candidates=predicate
+        )
 
     async def total(
         self, name: str, *, tenant: str = DEFAULT_TENANT
     ) -> EstimateWithError:
-        return self._served(name, tenant).total()
+        return await self._call("total", session=name, tenant=tenant)
 
     async def heavy_hitters(
         self, name: str, phi: float, *, tenant: str = DEFAULT_TENANT
     ) -> QueryResult:
-        return self._served(name, tenant).heavy_hitters(phi)
+        return await self._call("heavy_hitters", session=name, tenant=tenant, phi=phi)
 
     async def top_k(
         self, name: str, k: int, *, tenant: str = DEFAULT_TENANT
     ) -> QueryResult:
-        return self._served(name, tenant).top_k(k)
+        return await self._call("top_k", session=name, tenant=tenant, k=k)
 
+    # -- persistence ---------------------------------------------------
     async def checkpoint(self, *, force: bool = False) -> int:
         """Force a checkpoint pass; returns the number of sessions written."""
-        if self._server.checkpointer is None:
-            raise ServeError("this server has no checkpoint directory configured")
-        manifest = self._server.checkpointer.checkpoint_now(force=force)
-        return len(manifest["sessions"])
+        return await self._call("checkpoint", force=force or None)
 
     async def export(
         self, name: str, *, tenant: str = DEFAULT_TENANT
@@ -214,25 +240,11 @@ class ServeClient:
 
         Returns ``{"frame", "spec", "backend", "rows_applied"}`` where
         ``frame`` is the session's complete :mod:`repro.io` envelope (RNG
-        state included).  The pipeline driver's checkpoints are built
-        from this — frame and row counter captured at a flushed batch
-        boundary describe one exact stream position.
+        state included) as ``bytes``.  The pipeline driver's checkpoints
+        are built from this — frame and row counter captured at a flushed
+        batch boundary describe one exact stream position.
         """
-        served = self._served(name, tenant)
-        to_bytes = getattr(served.session.estimator, "to_bytes", None)
-        if not callable(to_bytes):
-            raise SerializationError(
-                f"session {tenant!r}/{name!r} serves a "
-                f"{type(served.session.estimator).__name__}, which does not "
-                "implement the serialization contract (no to_bytes)"
-            )
-        info = served.session.describe()
-        return {
-            "frame": to_bytes(),
-            "spec": info["spec"],
-            "backend": info["backend"],
-            "rows_applied": served.stats.rows_applied,
-        }
+        return await self._call("export", session=name, tenant=tenant)
 
     async def adopt(
         self,
@@ -248,35 +260,66 @@ class ServeClient:
     ) -> Dict[str, Any]:
         """Serve a serialized estimator frame under ``(tenant, name)``.
 
-        The in-process twin of the wire ``adopt`` op (and the inverse of
-        :meth:`export`): the frame is loaded through the :mod:`repro.io`
+        The inverse of :meth:`export` and the cluster tier's fail-over
+        path: ``frame`` is raw :mod:`repro.io` bytes, loaded through the
         type registry and served with its recorded ``rows_applied``
-        counter, so a restored session reports the same progress the
-        exporter saw.  Raises if the key is already served — drop the
-        old session first.
+        counter.  Raises if the key is already served — drop the old
+        session first.
         """
-        from repro.api.session import StreamSession
-        from repro.io import load_bytes
-
-        estimator = load_bytes(bytes(frame))
-        session = StreamSession(
-            estimator, spec_name=spec, backend=backend or "inline"
+        return await self._call(
+            "adopt",
+            session=name,
+            tenant=tenant,
+            frame=frame,
+            spec=spec,
+            backend=backend,
+            rows_applied=int(rows_applied) or None,
+            ttl=ttl,
+            queue_maxsize=queue_maxsize,
         )
-        served = self._server.registry.adopt(
-            name, session, tenant=tenant, ttl=ttl, queue_maxsize=queue_maxsize
-        )
-        served.rows_checkpointed = int(rows_applied)
-        served.stats.rows_applied = int(rows_applied)
-        served.stats.rows_enqueued = int(rows_applied)
-        return served.describe()
 
     async def metrics(self, *, detail: bool = False) -> Dict[str, Any]:
         """The server's operational snapshot (see ``SketchServer.metrics``)."""
-        return self._server.metrics(detail=detail)
+        return await self._call("metrics", detail=detail or None)
+
+    # -- cluster administration (router endpoints only) ----------------
+    async def cluster_info(self) -> Dict[str, Any]:
+        """The router's topology snapshot (``cluster_info`` op)."""
+        return await self._call("cluster_info")
+
+    async def join(
+        self, member_id: str, host: str, port: int
+    ) -> Dict[str, Any]:
+        """Add a member to a running cluster router and rebalance onto it.
+
+        Only a :class:`~repro.cluster.router.ClusterRouter` endpoint
+        answers this; a bare server rejects it as an unknown op.  Returns
+        the router's summary (``sessions_moved``, new ``epoch``).
+        """
+        return await self._call("join", member=member_id, host=host, port=port)
+
+    async def decommission(self, member_id: str) -> Dict[str, Any]:
+        """Drain a member's sessions to ring successors and remove it."""
+        return await self._call("decommission", member=member_id)
 
 
-class TCPServeClient:
-    """JSON-lines client for a remote :class:`SketchServer` TCP endpoint.
+class ServeClient(BaseServeClient):
+    """In-process transport: calls a :class:`~repro.serve.server.SketchServer`'s
+    ops directly, with Python values."""
+
+    def __init__(self, server) -> None:
+        self._server = server
+        # The transport is the server's own op call: no frame in between
+        # on the in-process ingest path.
+        self._call = server.call
+
+    @property
+    def server(self):
+        return self._server
+
+
+class TCPServeClient(BaseServeClient):
+    """JSON-lines transport to a remote :class:`SketchServer` TCP endpoint.
 
     Create with :meth:`connect`; use as an async context manager::
 
@@ -431,18 +474,31 @@ class TCPServeClient:
                 "connection is no longer usable; reconnect to retry)"
             ) from exc
 
-    async def _call(self, op: str, **fields) -> Dict[str, Any]:
-        """One op with transparent retry-on-moved (see ``moved_retries``)."""
+    async def _call(self, op: str, **fields) -> Any:
+        payload = await self.request(op, **protocol.encode_fields(fields))
+        return protocol.decode_result(op, payload)
+
+    async def request(self, op: str, **fields) -> Dict[str, Any]:
+        """Issue one raw protocol op, returning the wire result payload.
+
+        The typed methods cover the stable surface; this is the escape
+        hatch for ops without a wrapper (and the forwarding path the
+        cluster router's member connections use): fields go out as wire
+        values, unencoded, and ``None``-valued fields are omitted.
+        Remote errors re-raise as their :mod:`repro.errors` classes, and
+        a :class:`~repro.errors.RouteMovedError` is retried transparently
+        (see ``moved_retries``).
+        """
         for attempt in range(self._moved_retries + 1):
             try:
-                return await self._call_once(op, **fields)
+                return await self._call_once(op, fields)
             except RouteMovedError:
                 if attempt >= self._moved_retries:
                     raise
                 await asyncio.sleep(self._moved_backoff * 2**attempt)
         raise AssertionError("unreachable")  # pragma: no cover
 
-    async def _call_once(self, op: str, **fields) -> Dict[str, Any]:
+    async def _call_once(self, op: str, fields: Dict[str, Any]) -> Dict[str, Any]:
         request = {"id": next(self._ids), "op": op}
         request.update(
             {key: value for key, value in fields.items() if value is not None}
@@ -463,250 +519,3 @@ class TCPServeClient:
         error = response.get("error") or {}
         exc_class = _ERROR_TYPES.get(error.get("type"), RemoteServeError)
         raise exc_class(error.get("message", "remote serve error"))
-
-    async def request(self, op: str, **fields) -> Dict[str, Any]:
-        """Issue one raw protocol op, returning the result payload.
-
-        The typed methods below cover the stable surface; this is the
-        escape hatch for ops without a wrapper (and the forwarding path
-        the cluster router's member connections use).  ``None``-valued
-        fields are omitted from the wire request; remote errors re-raise
-        as their :mod:`repro.errors` classes exactly like the wrappers.
-        """
-        return await self._call(op, **fields)
-
-    @staticmethod
-    def _scalar(result: Dict[str, Any]) -> EstimateWithError:
-        return EstimateWithError(
-            estimate=float(result["estimate"]), variance=float(result["variance"])
-        )
-
-    # -- lifecycle -----------------------------------------------------
-    async def ping(self) -> Dict[str, Any]:
-        return await self._call("ping")
-
-    async def create(
-        self,
-        name: str,
-        spec: str,
-        *,
-        size: int,
-        tenant: str = DEFAULT_TENANT,
-        ttl: Optional[float] = None,
-        queue_maxsize: Optional[int] = None,
-        backend: Optional[str] = None,
-        window: Optional[str] = None,
-        seed: Optional[int] = None,
-        num_shards: Optional[int] = None,
-        **params,
-    ) -> Dict[str, Any]:
-        result = await self._call(
-            "create",
-            session=name,
-            tenant=tenant,
-            spec=spec,
-            size=size,
-            ttl=ttl,
-            queue_maxsize=queue_maxsize,
-            backend=backend,
-            window=window,
-            seed=seed,
-            num_shards=num_shards,
-            params=params or None,
-        )
-        return result["info"]
-
-    async def drop(self, name: str, *, tenant: str = DEFAULT_TENANT) -> None:
-        await self._call("drop", session=name, tenant=tenant)
-
-    async def list_sessions(
-        self, *, tenant: Optional[str] = None
-    ) -> List[Dict[str, Any]]:
-        return (await self._call("list", tenant=tenant))["sessions"]
-
-    async def info(self, name: str, *, tenant: str = DEFAULT_TENANT) -> Dict[str, Any]:
-        return (await self._call("info", session=name, tenant=tenant))["info"]
-
-    # -- ingest --------------------------------------------------------
-    async def update(
-        self,
-        name: str,
-        item: Item,
-        weight: float = 1.0,
-        timestamp: Optional[float] = None,
-        *,
-        tenant: str = DEFAULT_TENANT,
-    ) -> None:
-        await self._call(
-            "update",
-            session=name,
-            tenant=tenant,
-            item=protocol.encode_item(item),
-            weight=weight,
-            timestamp=timestamp,
-        )
-
-    async def update_batch(
-        self,
-        name: str,
-        items: Iterable[Item],
-        weights: Optional[Iterable[float]] = None,
-        timestamps: Optional[Iterable[float]] = None,
-        *,
-        tenant: str = DEFAULT_TENANT,
-        block: bool = True,
-    ) -> int:
-        result = await self._call(
-            "update_batch",
-            session=name,
-            tenant=tenant,
-            items=protocol.encode_items(items),
-            weights=protocol.encode_reals(weights),
-            timestamps=protocol.encode_reals(timestamps),
-            block=block,
-        )
-        return int(result["enqueued"])
-
-    async def flush(self, name: str, *, tenant: str = DEFAULT_TENANT) -> int:
-        return int(
-            (await self._call("flush", session=name, tenant=tenant))["rows_applied"]
-        )
-
-    # -- queries -------------------------------------------------------
-    async def estimate(
-        self, name: str, item: Item, *, tenant: str = DEFAULT_TENANT
-    ) -> EstimateWithError:
-        return self._scalar(
-            await self._call(
-                "estimate",
-                session=name,
-                tenant=tenant,
-                item=protocol.encode_item(item),
-            )
-        )
-
-    async def estimates(
-        self, name: str, *, tenant: str = DEFAULT_TENANT
-    ) -> Dict[Item, float]:
-        result = await self._call("estimates", session=name, tenant=tenant)
-        return protocol.decode_pairs(result["pairs"])
-
-    async def subset_sum(
-        self,
-        name: str,
-        candidates: Iterable[Item],
-        *,
-        tenant: str = DEFAULT_TENANT,
-    ) -> EstimateWithError:
-        """Subset sum over an explicit candidate collection.
-
-        The wire protocol cannot ship callables; pass the candidate items
-        whose total you want (the server builds the membership predicate).
-        """
-        if callable(candidates):
-            raise InvalidParameterError(
-                "TCP subset_sum takes a candidate collection, not a callable; "
-                "use the in-process ServeClient for predicate queries"
-            )
-        return self._scalar(
-            await self._call(
-                "subset_sum",
-                session=name,
-                tenant=tenant,
-                candidates=protocol.encode_items(candidates),
-            )
-        )
-
-    async def total(
-        self, name: str, *, tenant: str = DEFAULT_TENANT
-    ) -> EstimateWithError:
-        return self._scalar(await self._call("total", session=name, tenant=tenant))
-
-    async def heavy_hitters(
-        self, name: str, phi: float, *, tenant: str = DEFAULT_TENANT
-    ) -> QueryResult:
-        result = await self._call(
-            "heavy_hitters", session=name, tenant=tenant, phi=phi
-        )
-        return QueryResult(groups=protocol.decode_pairs(result["pairs"]))
-
-    async def top_k(
-        self, name: str, k: int, *, tenant: str = DEFAULT_TENANT
-    ) -> QueryResult:
-        result = await self._call("top_k", session=name, tenant=tenant, k=k)
-        return QueryResult(groups=protocol.decode_pairs(result["pairs"]))
-
-    async def checkpoint(self, *, force: bool = False) -> int:
-        return int((await self._call("checkpoint", force=force or None))["sessions"])
-
-    async def export(
-        self, name: str, *, tenant: str = DEFAULT_TENANT
-    ) -> Dict[str, Any]:
-        """Fetch a session's serialized frame; same shape as the in-process
-        :meth:`ServeClient.export` (the base64 hop is decoded here)."""
-        import base64
-
-        result = await self._call("export", session=name, tenant=tenant)
-        return {
-            "frame": base64.b64decode(result["frame"].encode("ascii")),
-            "spec": result.get("spec"),
-            "backend": result.get("backend"),
-            "rows_applied": int(result.get("rows_applied", 0)),
-        }
-
-    async def adopt(
-        self,
-        name: str,
-        frame: bytes,
-        *,
-        tenant: str = DEFAULT_TENANT,
-        spec: Optional[str] = None,
-        backend: Optional[str] = None,
-        rows_applied: int = 0,
-        ttl: Optional[float] = None,
-        queue_maxsize: Optional[int] = None,
-    ) -> Dict[str, Any]:
-        """Serve a serialized estimator frame on the remote server.
-
-        The typed wrapper over the ``adopt`` wire op the cluster tier's
-        fail-over path uses; ``frame`` is raw :mod:`repro.io` bytes (the
-        base64 encoding is applied here).
-        """
-        import base64
-
-        result = await self._call(
-            "adopt",
-            session=name,
-            tenant=tenant,
-            frame=base64.b64encode(bytes(frame)).decode("ascii"),
-            spec=spec,
-            backend=backend,
-            rows_applied=int(rows_applied) or None,
-            ttl=ttl,
-            queue_maxsize=queue_maxsize,
-        )
-        return result["info"]
-
-    async def metrics(self, *, detail: bool = False) -> Dict[str, Any]:
-        """The remote server's operational snapshot, decoded as plain data."""
-        return (await self._call("metrics", detail=detail or None))["metrics"]
-
-    # -- cluster administration (router endpoints only) ----------------
-    async def cluster_info(self) -> Dict[str, Any]:
-        """The router's topology snapshot (``cluster_info`` wire op)."""
-        return (await self._call("cluster_info"))["cluster"]
-
-    async def join(
-        self, member_id: str, host: str, port: int
-    ) -> Dict[str, Any]:
-        """Add a member to a running cluster router and rebalance onto it.
-
-        Only a :class:`~repro.cluster.router.ClusterRouter` endpoint
-        answers this; a bare server rejects it as an unknown op.  Returns
-        the router's summary (``sessions_moved``, new ``epoch``).
-        """
-        return await self._call("join", member=member_id, host=host, port=port)
-
-    async def decommission(self, member_id: str) -> Dict[str, Any]:
-        """Drain a member's sessions to ring successors and remove it."""
-        return await self._call("decommission", member=member_id)

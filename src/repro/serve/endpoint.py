@@ -6,10 +6,15 @@ multi-node :class:`~repro.cluster.router.ClusterRouter`: accept a
 connection, send the ``hello`` line, then loop ``readline`` →
 ``_op_<name>`` dispatch → response envelope until the peer hangs up.
 Hosts mix it in, call :meth:`_init_endpoint` from their constructor, and
-implement ``_op_*`` coroutines; everything on the wire — framing limits,
-error envelopes, graceful-shutdown semantics — is identical across
-fronts, which is what lets one :class:`~repro.serve.client.TCPServeClient`
-speak to either without knowing which it dialed.
+implement ``_op_*`` coroutines.  A router's ops take and return wire
+values as they stand, so it forwards them unchanged; the server
+overrides :meth:`_dispatch` to decode the request's fields first and
+encode the result payload after, because its ops are written once on
+Python values for both client transports.  Everything on the wire —
+framing limits, error envelopes, graceful-shutdown semantics — is
+identical across fronts, which is what lets one
+:class:`~repro.serve.client.TCPServeClient` speak to either without
+knowing which it dialed.
 
 Graceful shutdown: :meth:`_stop_tcp` closes the listener, *cancels* every
 live connection task, and only then awaits ``wait_closed()`` (newer
@@ -45,6 +50,7 @@ class JsonLinesEndpoint:
         self._connections = 0
         self._conn_tasks: Set[asyncio.Task] = set()
         self._stopped = False
+        self._handlers: Dict[str, Any] = {}
 
     # ------------------------------------------------------------------
     # Listener lifecycle
@@ -171,13 +177,24 @@ class JsonLinesEndpoint:
             except (ConnectionResetError, BrokenPipeError, asyncio.CancelledError):
                 pass
 
-    async def _dispatch(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        op = request.get("op")
-        handler = getattr(self, f"_op_{op}", None) if isinstance(op, str) else None
+    def _handler(self, op: Any):
+        """The host's ``_op_<op>`` method; an unknown op is refused.
+
+        Each op is looked up by name once and kept: the lookup is off the
+        per-request path, which for an in-process client is a few
+        microseconds long.
+        """
+        handler = self._handlers.get(op) if isinstance(op, str) else None
         if handler is None:
-            raise InvalidParameterError(
-                f"unknown serve op {op!r} (known ops: "
-                f"{', '.join(protocol.KNOWN_OPS)})"
-            )
-        result = await handler(request)
+            handler = getattr(self, f"_op_{op}", None)
+            if handler is None:
+                raise InvalidParameterError(
+                    f"unknown serve op {op!r} (known ops: "
+                    f"{', '.join(protocol.KNOWN_OPS)})"
+                )
+            self._handlers[op] = handler
+        return handler
+
+    async def _dispatch(self, request: Dict[str, Any]) -> Dict[str, Any]:
+        result = await self._handler(request.get("op"))(request)
         return protocol.ok_response(request.get("id"), result)

@@ -166,18 +166,14 @@ class SketchRegistry:
         the sharded backend.
         """
         session = build(spec, size=size, **build_kwargs)
-        try:
-            return self.adopt(
-                name,
-                session,
-                tenant=tenant,
-                ttl=ttl,
-                queue_maxsize=queue_maxsize,
-                coalesce=coalesce,
-            )
-        except BaseException:
-            session.close()
-            raise
+        return self.adopt(
+            name,
+            session,
+            tenant=tenant,
+            ttl=ttl,
+            queue_maxsize=queue_maxsize,
+            coalesce=coalesce,
+        )
 
     def adopt(
         self,
@@ -302,11 +298,7 @@ class SketchRegistry:
         spilled state — a later access retries.
         """
         session, entry = self._tiering.load(key)
-        try:
-            served = self._admit(key, session, ttl=entry["ttl"])
-        except BaseException:
-            session.close()
-            raise
+        served = self._admit(key, session, ttl=entry["ttl"])
         self._tiering.commit(key)
         served.stats.rows_applied = int(entry["rows_applied"])
         served.stats.rows_enqueued = int(entry["rows_enqueued"])

@@ -17,19 +17,20 @@ lifecycle::
 completed checkpoint, so a restarted process resumes every session
 exactly where the checkpoint left it.
 
-The TCP dispatch table maps protocol ``op`` names onto the same registry
-calls the in-process client uses; both clients therefore return the same
-normalized results, and remote errors re-raise as the same
-:mod:`repro.errors` classes.
+Every protocol op is written once, as an ``_op_*`` coroutine from Python
+values to the normalized result a client returns.  The in-process client
+reaches it through :meth:`SketchServer.call`; the TCP endpoint decodes a
+request into the same fields and encodes the result as a payload.  Both
+clients therefore return the same normalized results, and remote errors
+re-raise as the same :mod:`repro.errors` classes.
 """
 
 from __future__ import annotations
 
-import base64
-import binascii
 import time
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Awaitable, Dict, List, Optional, Tuple
 
+from repro.core.variance import EstimateWithError
 from repro.errors import (
     BackpressureError,
     InvalidParameterError,
@@ -38,6 +39,7 @@ from repro.errors import (
 )
 from repro.api.session import StreamSession
 from repro.io import load_bytes
+from repro.query.engine import QueryResult
 from repro.serve import protocol
 from repro.serve.checkpoint import CheckpointScheduler, restore_registry
 from repro.serve.endpoint import JsonLinesEndpoint
@@ -45,6 +47,8 @@ from repro.serve.registry import DEFAULT_TENANT, SketchRegistry
 from repro.serve.stats import RateTracker
 
 __all__ = ["SketchServer"]
+
+_NO_SESSION = "requests addressing a session need a non-empty 'session' field"
 
 
 class SketchServer(JsonLinesEndpoint):
@@ -288,204 +292,209 @@ class SketchServer(JsonLinesEndpoint):
         await self.stop()
 
     # ------------------------------------------------------------------
-    # TCP op dispatch (connection handling lives in JsonLinesEndpoint)
+    # Ops: one implementation for both transports
     # ------------------------------------------------------------------
+    def call(self, op: str, /, **fields) -> Awaitable[Any]:
+        """Run one protocol op on Python values; await its normalized result.
+
+        This is the in-process transport of
+        :class:`~repro.serve.client.ServeClient`: fields go in as Python
+        values (numpy columns and callable ``candidates`` predicates
+        included) and the result comes back as the client returns it.
+        An op reads a ``None`` field as an absent one.  The TCP endpoint
+        runs the same ``_op_*`` coroutines between
+        :func:`~repro.serve.protocol.decode_fields` and
+        :func:`~repro.serve.protocol.encode_result`.
+        """
+        return (self._handlers.get(op) or self._handler(op))(fields)
+
+    async def _dispatch(self, request: Dict[str, Any]) -> Dict[str, Any]:
+        """One wire request: decode → op → encode."""
+        op = request.get("op")
+        handler = self._handler(op)
+        fields = protocol.decode_fields(request)
+        payload = protocol.encode_result(op, await handler(fields))
+        # Two results carry one more reading, taken in the step the op
+        # finished in: a gather reads bins and total from one snapshot
+        # (no batch can land between them), and a router reports the
+        # deepest member queue.
+        if op == "estimates":
+            payload["total"] = self._served(fields).total().estimate
+        elif op == "update_batch":
+            payload["queue_depth"] = self._served(fields).queue_depth
+        return protocol.ok_response(request.get("id"), payload)
+
     # -- op helpers ----------------------------------------------------
     @staticmethod
-    def _key(request: Dict[str, Any]) -> Tuple[str, str]:
-        name = request.get("session")
+    def _key(fields: Dict[str, Any]) -> Tuple[str, str]:
+        """``(name, tenant)`` of the session an op creates or removes."""
+        name = fields.get("session")
         if not isinstance(name, str) or not name:
-            raise InvalidParameterError(
-                "requests addressing a session need a non-empty 'session' field"
-            )
-        return str(request.get("tenant", DEFAULT_TENANT)), name
+            raise InvalidParameterError(_NO_SESSION)
+        return name, fields.get("tenant", DEFAULT_TENANT)
 
-    def _served(self, request: Dict[str, Any]):
-        tenant, name = self._key(request)
-        return self._registry.get(name, tenant=tenant)
-
-    @staticmethod
-    def _decode_rows(request: Dict[str, Any]):
-        items, weights, timestamps = protocol.check_rows(request)
-        return protocol.decode_items(items), weights, timestamps
+    def _served(self, fields: Dict[str, Any]):
+        """The live session an op addresses (a name that is not a string
+        names no session; the registry looks it up as one)."""
+        name = fields.get("session")
+        if not name:
+            raise InvalidParameterError(_NO_SESSION)
+        return self._registry.get(name, fields.get("tenant", DEFAULT_TENANT))
 
     # -- ops -----------------------------------------------------------
-    async def _op_ping(self, request: Dict[str, Any]) -> Dict[str, Any]:
+    async def _op_ping(self, fields: Dict[str, Any]) -> Dict[str, Any]:
         return {"pong": True, "sessions": len(self._registry)}
 
-    async def _op_create(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        tenant, name = self._key(request)
-        spec = request.get("spec")
+    async def _op_create(self, fields: Dict[str, Any]) -> Dict[str, Any]:
+        name, tenant = self._key(fields)
+        spec = fields.get("spec")
         if not isinstance(spec, str):
             raise InvalidParameterError("'create' needs a spec name")
-        size = request.get("size")
+        size = fields.get("size")
         if size is None:
             raise InvalidParameterError("'create' needs a size")
-        build_kwargs = dict(request.get("params") or {})
+        build_kwargs = dict(fields.get("params") or {})
         for field in ("backend", "window", "seed", "num_shards"):
-            if request.get(field) is not None:
-                build_kwargs[field] = request[field]
+            if fields.get(field) is not None:
+                build_kwargs[field] = fields[field]
         served = self._registry.create(
             name,
             spec,
             tenant=tenant,
             size=int(size),
-            ttl=request.get("ttl"),
-            queue_maxsize=request.get("queue_maxsize"),
+            ttl=fields.get("ttl"),
+            queue_maxsize=fields.get("queue_maxsize"),
             **build_kwargs,
         )
-        return {"created": True, "info": _jsonable_info(served.describe())}
+        return served.describe()
 
-    async def _op_drop(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        tenant, name = self._key(request)
+    async def _op_drop(self, fields: Dict[str, Any]) -> None:
+        name, tenant = self._key(fields)
         self._registry.drop(name, tenant=tenant)
-        return {"dropped": True}
 
-    async def _op_list(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        tenant = request.get("tenant")
-        return {
-            "sessions": [
-                _jsonable_info(info)
-                for info in self._registry.list_sessions(tenant=tenant)
-            ]
-        }
+    async def _op_list(self, fields: Dict[str, Any]) -> List[Dict[str, Any]]:
+        return self._registry.list_sessions(tenant=fields.get("tenant"))
 
-    async def _op_info(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        return {"info": _jsonable_info(self._served(request).describe())}
+    async def _op_info(self, fields: Dict[str, Any]) -> Dict[str, Any]:
+        return self._served(fields).describe()
 
-    async def _op_update(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        served = self._served(request)
-        item = protocol.decode_item(request.get("item"))
+    async def _op_update(self, fields: Dict[str, Any]) -> None:
+        served = self._served(fields)
         await served.put(
-            item,
-            float(request.get("weight", 1.0)),
-            request.get("timestamp"),
+            fields.get("item"), fields.get("weight", 1.0), fields.get("timestamp")
         )
-        return {"enqueued": 1}
 
-    async def _op_update_batch(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        served = self._served(request)
-        items, weights, timestamps = self._decode_rows(request)
-        if request.get("block", True):
-            rows = await served.put_batch(items, weights, timestamps)
-        else:
-            if not served.offer_batch(items, weights, timestamps):
-                raise BackpressureError(
-                    f"ingest queue full for session "
-                    f"{served.tenant!r}/{served.name!r} "
-                    f"({served.queue_depth}/{served.queue_maxsize} batches); "
-                    "retry, or send with block=true to wait"
-                )
-            rows = len(items)
-        return {"enqueued": rows, "queue_depth": served.queue_depth}
+    def _op_update_batch(self, fields: Dict[str, Any]) -> Awaitable[int]:
+        """Enqueue a batch; the awaitable gives the rows enqueued.
 
-    async def _op_flush(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        served = self._served(request)
+        Not a coroutine itself: it returns the session's enqueue, so the
+        in-process ingest path carries no frame of its own.
+        """
+        served = self._served(fields)
+        items = fields.get("items")
+        if items is None:
+            raise InvalidParameterError("'update_batch' needs an 'items' column")
+        weights, timestamps = fields.get("weights"), fields.get("timestamps")
+        if fields.get("block", True):
+            return served.put_batch(items, weights, timestamps)
+        return self._offer(served, items, weights, timestamps)
+
+    @staticmethod
+    async def _offer(served, items, weights, timestamps) -> int:
+        """Non-blocking enqueue: a full queue raises :class:`BackpressureError`."""
+        if not hasattr(items, "__len__"):
+            items = list(items)  # count once; the session reuses the snapshot
+        if not served.offer_batch(items, weights, timestamps):
+            raise BackpressureError(
+                f"ingest queue full for session {served.tenant!r}/{served.name!r} "
+                f"({served.queue_depth}/{served.queue_maxsize} batches); "
+                "retry, or send with block=true to wait"
+            )
+        return len(items)
+
+    async def _op_flush(self, fields: Dict[str, Any]) -> int:
+        served = self._served(fields)
         await served.drain()
-        return {"rows_applied": served.stats.rows_applied}
+        return served.stats.rows_applied
 
-    async def _op_estimate(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        served = self._served(request)
-        result = served.estimate(protocol.decode_item(request.get("item")))
-        return {"estimate": result.estimate, "variance": result.variance}
+    async def _op_estimate(self, fields: Dict[str, Any]) -> EstimateWithError:
+        return self._served(fields).estimate(fields.get("item"))
 
-    async def _op_estimates(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        served = self._served(request)
-        # The total rides along so a gather reads bins and total from one
-        # snapshot: no batch can land between the two reads.
-        return {
-            "pairs": protocol.encode_pairs(served.estimates()),
-            "total": served.total().estimate,
-        }
+    async def _op_estimates(self, fields: Dict[str, Any]) -> Dict[Any, float]:
+        return self._served(fields).estimates()
 
-    async def _op_subset_sum(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        served = self._served(request)
-        candidates = request.get("candidates")
-        if not isinstance(candidates, list):
+    async def _op_subset_sum(self, fields: Dict[str, Any]) -> EstimateWithError:
+        """Subset sum under a callable predicate (in process only) or over
+        a ``candidates`` collection, matched as a set."""
+        served = self._served(fields)
+        candidates = fields.get("candidates")
+        if candidates is None:
             raise InvalidParameterError(
-                "the wire 'subset_sum' op takes a 'candidates' array (arbitrary "
-                "predicates cannot travel over JSON; use the in-process client "
-                "for callable predicates)"
+                "'subset_sum' needs 'candidates': the labels to sum over"
             )
-        member = {protocol.decode_item(candidate) for candidate in candidates}
-        result = served.subset_sum(lambda item: item in member)
-        return {"estimate": result.estimate, "variance": result.variance}
+        if not callable(candidates):
+            candidates = set(candidates).__contains__
+        return served.subset_sum(candidates)
 
-    async def _op_total(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        served = self._served(request)
-        result = served.total()
-        return {"estimate": result.estimate, "variance": result.variance}
+    async def _op_total(self, fields: Dict[str, Any]) -> EstimateWithError:
+        return self._served(fields).total()
 
-    async def _op_heavy_hitters(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        served = self._served(request)
-        phi = float(request.get("phi", 0.01))
-        return {"pairs": protocol.encode_pairs(served.heavy_hitters(phi).groups)}
+    async def _op_heavy_hitters(self, fields: Dict[str, Any]) -> QueryResult:
+        served = self._served(fields)
+        return served.heavy_hitters(float(fields.get("phi", 0.01)))
 
-    async def _op_top_k(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        served = self._served(request)
-        k = int(request.get("k", 10))
-        return {"pairs": protocol.encode_pairs(served.top_k(k).groups)}
+    async def _op_top_k(self, fields: Dict[str, Any]) -> QueryResult:
+        return self._served(fields).top_k(int(fields.get("k", 10)))
 
-    async def _op_checkpoint(self, request: Dict[str, Any]) -> Dict[str, Any]:
+    async def _op_checkpoint(self, fields: Dict[str, Any]) -> int:
         if self._checkpointer is None:
-            raise ServeError(
-                "this server has no checkpoint directory configured"
-            )
+            raise ServeError("this server has no checkpoint directory configured")
         manifest = self._checkpointer.checkpoint_now(
-            force=bool(request.get("force", False))
+            force=bool(fields.get("force", False))
         )
-        return {"sessions": len(manifest["sessions"])}
+        return len(manifest["sessions"])
 
-    async def _op_adopt(self, request: Dict[str, Any]) -> Dict[str, Any]:
+    async def _op_adopt(self, fields: Dict[str, Any]) -> Dict[str, Any]:
         """Serve a serialized estimator frame under ``(tenant, session)``.
 
-        The wire twin of :meth:`SketchRegistry.adopt`: the request carries
-        a base64 ``frame`` (a :mod:`repro.io` payload, RNG state included),
-        plus the ``spec`` / ``backend`` labels and ``rows_applied`` counter
-        the session should resume with.  This is the cluster fail-over
-        rehydration path — a router reads a dead member's checkpoint files
-        and adopts them onto survivors — but works against any server.
+        The inverse of ``export``: ``frame`` (a :mod:`repro.io` payload,
+        RNG state included) is served with the ``spec`` / ``backend``
+        labels and the ``rows_applied`` counter it resumes with.  This is
+        the cluster fail-over path and the pipeline driver's restore.
+        Raises if the key is already served.
         """
-        tenant, name = self._key(request)
-        frame = request.get("frame")
-        if not isinstance(frame, str):
+        name, tenant = self._key(fields)
+        frame = fields.get("frame")
+        if frame is None:
             raise InvalidParameterError(
-                "'adopt' needs a base64 'frame' holding a serialized estimator"
+                "'adopt' needs a 'frame' holding a serialized estimator"
             )
-        try:
-            payload = base64.b64decode(frame.encode("ascii"), validate=True)
-        except (binascii.Error, ValueError, UnicodeEncodeError) as exc:
-            raise SerializationError(
-                f"'adopt' frame is not valid base64: {exc}"
-            ) from exc
-        estimator = load_bytes(payload)
         session = StreamSession(
-            estimator,
-            spec_name=request.get("spec"),
-            backend=request.get("backend", "inline"),
+            load_bytes(bytes(frame)),
+            spec_name=fields.get("spec"),
+            backend=fields.get("backend") or "inline",
         )
         served = self._registry.adopt(
             name,
             session,
             tenant=tenant,
-            ttl=request.get("ttl"),
-            queue_maxsize=request.get("queue_maxsize"),
+            ttl=fields.get("ttl"),
+            queue_maxsize=fields.get("queue_maxsize"),
         )
-        rows = int(request.get("rows_applied", 0))
+        rows = int(fields.get("rows_applied") or 0)
         served.rows_checkpointed = rows
         served.stats.rows_applied = rows
         served.stats.rows_enqueued = rows
-        return {"adopted": True, "info": _jsonable_info(served.describe())}
+        return served.describe()
 
-    async def _op_export(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        """The inverse of ``adopt``: serialize a served session's estimator.
+    async def _op_export(self, fields: Dict[str, Any]) -> Dict[str, Any]:
+        """Serialize a served session's estimator: the state half of ``adopt``.
 
-        Returns the session's complete :mod:`repro.io` frame (base64 on
-        the wire, RNG state inside) plus the spec/backend labels and
-        applied-row counter an ``adopt`` on another server — or a
-        pipeline-driver checkpoint — needs to resume it exactly.
+        Returns the complete :mod:`repro.io` ``frame`` (RNG state inside)
+        plus the spec/backend labels and applied-row counter an ``adopt``
+        needs to resume it exactly.
         """
-        served = self._served(request)
+        served = self._served(fields)
         to_bytes = getattr(served.session.estimator, "to_bytes", None)
         if not callable(to_bytes):
             raise SerializationError(
@@ -495,21 +504,11 @@ class SketchServer(JsonLinesEndpoint):
             )
         info = served.session.describe()
         return {
-            "frame": base64.b64encode(to_bytes()).decode("ascii"),
+            "frame": to_bytes(),
             "spec": info["spec"],
             "backend": info["backend"],
             "rows_applied": served.stats.rows_applied,
         }
 
-    async def _op_metrics(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        return {"metrics": self.metrics(detail=bool(request.get("detail", False)))}
-
-
-def _jsonable_info(info: Dict[str, Any]) -> Dict[str, Any]:
-    """Session describe() dicts are JSON-safe except for nothing today —
-    kept as a single funnel so future fields stay wire-safe."""
-    try:
-        protocol.encode_line(info)
-    except (TypeError, SerializationError):
-        info = {key: repr(value) for key, value in info.items()}
-    return info
+    async def _op_metrics(self, fields: Dict[str, Any]) -> Dict[str, Any]:
+        return self.metrics(detail=bool(fields.get("detail", False)))

@@ -254,17 +254,19 @@ class ServedSession:
                 f"session {self._tenant!r}/{self._name!r} is closed to new rows"
             )
         items = _materialize(items)
-        weights = _materialize(weights)
-        timestamps = _materialize(timestamps)
         rows = len(items)
-        if weights is not None and len(weights) != rows:
-            raise InvalidParameterError(
-                f"weights length {len(weights)} != items length {rows}"
-            )
-        if timestamps is not None and len(timestamps) != rows:
-            raise InvalidParameterError(
-                f"timestamps length {len(timestamps)} != items length {rows}"
-            )
+        if weights is not None:
+            weights = _materialize(weights)
+            if len(weights) != rows:
+                raise InvalidParameterError(
+                    f"weights length {len(weights)} != items length {rows}"
+                )
+        if timestamps is not None:
+            timestamps = _materialize(timestamps)
+            if len(timestamps) != rows:
+                raise InvalidParameterError(
+                    f"timestamps length {len(timestamps)} != items length {rows}"
+                )
         return (items, weights, timestamps, rows)
 
     def _ensure_writer(self) -> None:
@@ -279,7 +281,7 @@ class ServedSession:
         depth = self._queue.qsize()
         if depth > self._stats.max_queue_depth:
             self._stats.max_queue_depth = depth
-        self.touch()
+        self._last_access = self._clock()  # touch(), inline on the ingest path
 
     async def put(
         self, item: Item, weight: float = 1.0, timestamp: Optional[float] = None
@@ -306,7 +308,10 @@ class ServedSession:
             if delay > 0.0:
                 await asyncio.sleep(delay)
         self._ensure_writer()
-        await self._queue.put(batch)
+        try:  # a free slot is the common case: skip Queue.put's coroutine
+            self._queue.put_nowait(batch)
+        except asyncio.QueueFull:
+            await self._queue.put(batch)
         self._account_enqueued(batch[3])
         return batch[3]
 
@@ -547,7 +552,6 @@ class ServedSession:
                 leftovers.append(batch)
         if leftovers:
             self._apply_batches(leftovers)
-        self._session.close()
 
     def _drain_dropped(self) -> None:
         """Discard queued batches, keeping join()/put() bookkeeping sound."""
@@ -599,4 +603,3 @@ class ServedSession:
             )
         else:
             self._drain_dropped()  # no loop running: nothing can be blocked
-        self._session.close()

@@ -306,8 +306,6 @@ class AccuracyTiering:
         self._spills += 1
         if demoted_capacity is not None:
             self._demotions += 1
-            if demoted is not served.session:
-                demoted.close()
         return True
 
     # ------------------------------------------------------------------

@@ -353,7 +353,7 @@ class TestRouteMovedOverTheWire:
             calls.append(request.get("id"))
             if len(calls) < 3:
                 raise RouteMovedError("still migrating")
-            return {"rows_applied": 7}
+            return 7
 
         monkeypatch.setattr(SketchServer, "_op_flush", settles_on_third)
 

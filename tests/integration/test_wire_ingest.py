@@ -1,8 +1,8 @@
 """Integration tests: the wire ingest path through client, server and router.
 
-Covered: ``update_batch`` validation at the boundary — a malformed
-label, weight or timestamp column gets a typed error from a bare
-:class:`~repro.serve.server.SketchServer` and from a
+Covered: ``update_batch`` and single-row ``update`` validation at the
+boundary — a malformed label, weight or timestamp gets a typed error
+from a bare :class:`~repro.serve.server.SketchServer` and from a
 :class:`~repro.cluster.ClusterRouter`, before anything is enqueued on
 any shard — the one-read-per-shard gather behind ``top_k`` and
 ``heavy_hitters``, and the byte-identical ``update_batch`` lines the TCP
@@ -45,8 +45,28 @@ MALFORMED = [
 ]
 
 
+#: Single-row ``update`` fields that must be refused, with the error they get.
+MALFORMED_ROW = [
+    pytest.param({"weight": NAN}, InvalidParameterError, id="nan-weight"),
+    pytest.param({"weight": True}, InvalidParameterError, id="bool-weight"),
+    pytest.param({"weight": "2"}, InvalidParameterError, id="str-weight"),
+    pytest.param({"item": {"a": 1}}, SerializationError, id="object-label"),
+    pytest.param({"item": ["a", {"b": 1}]}, SerializationError, id="nested-object"),
+    pytest.param({"timestamp": "x"}, InvalidParameterError, id="str-ts"),
+    pytest.param(
+        {"timestamp": float("inf")}, InvalidParameterError, id="inf-ts"
+    ),
+]
+
+
 def run(coro):
     return asyncio.run(coro)
+
+
+def _row(fields):
+    request = {"item": "a", "weight": 1.0}
+    request.update(fields)
+    return request
 
 
 def _batch(fields):
@@ -94,6 +114,15 @@ def _failed_batches(server):
     )
 
 
+def _ingest_counters(servers):
+    """``(rows_enqueued, failed_batches)`` summed over the servers."""
+    snapshots = [server.metrics()["ingest"] for server in servers]
+    return (
+        sum(snapshot["rows_enqueued"] for snapshot in snapshots),
+        sum(snapshot["failed_batches"] for snapshot in snapshots),
+    )
+
+
 class TestBoundaryValidation:
     @pytest.mark.parametrize("fields,error", MALFORMED)
     def test_bare_server_refuses_before_enqueue(self, fields, error):
@@ -129,6 +158,52 @@ class TestBoundaryValidation:
                 assert member_ops == []
                 assert await client.flush("s") == 0
                 assert sum(_failed_batches(server) for server in servers) == 0
+            finally:
+                await _close(client, router, *servers)
+
+        run(scenario())
+
+    @pytest.mark.parametrize("fields,error", MALFORMED_ROW)
+    def test_bare_server_refuses_a_bad_row_before_enqueue(self, fields, error):
+        async def scenario():
+            server = SketchServer()
+            host, port = await server.start_tcp("127.0.0.1", 0)
+            client = await TCPServeClient.connect(host, port)
+            try:
+                await client.create("s", SPEC, size=16, seed=0)
+                await client.update("s", "a", 2.0)
+                assert await client.flush("s") == 1
+                before = _ingest_counters([server])
+                with pytest.raises(error):
+                    await client.request("update", session="s", **_row(fields))
+                assert _ingest_counters([server]) == before == (1, 0)
+                # The connection survived and still ingests.
+                await client.update("s", "b", 0.5)
+                assert await client.flush("s") == 2
+                assert (await client.total("s")).estimate == 2.5
+                assert server.metrics()["ingest"]["rows_pending"] == 0
+            finally:
+                await _close(client, server)
+
+        run(scenario())
+
+    @pytest.mark.parametrize("fields,error", MALFORMED_ROW)
+    def test_router_refuses_a_bad_row_before_any_send(self, fields, error, member_ops):
+        async def scenario():
+            servers, router, client = await _cluster()
+            try:
+                await client.create("s", SPEC, size=16, seed=0, shards=2)
+                await client.update("s", "a", 2.0)
+                assert await client.flush("s") == 1
+                before = _ingest_counters(servers)
+                member_ops.clear()
+                with pytest.raises(error):
+                    await client.request("update", session="s", **_row(fields))
+                assert member_ops == []
+                assert _ingest_counters(servers) == before == (1, 0)
+                await client.update("s", "b", 0.5)
+                assert await client.flush("s") == 2
+                assert (await client.total("s")).estimate == 2.5
             finally:
                 await _close(client, router, *servers)
 

@@ -66,3 +66,29 @@ def test_gather_observer_reads_the_shard_states_argument(spans):
     result = merge_shard_states(shard_states)
     spans.OBSERVERS["merge_shard_states"](tracer, (shard_states,), result)
     assert tracer.counts["router.gather.bins"] == 3
+
+
+def test_client_transports_share_methods_but_not_wrappers(spans):
+    """``serve.enqueue`` and ``client.update_batch`` never stack.
+
+    Both clients inherit ``update_batch`` from one base, and neither
+    transport subclasses the other, so the tracer puts a separate
+    wrapper on each class and removes both.
+    """
+    from repro.serve.client import BaseServeClient, ServeClient, TCPServeClient
+
+    shared = BaseServeClient.update_batch
+    assert ServeClient.update_batch is shared
+    assert TCPServeClient.update_batch is shared
+    assert not issubclass(TCPServeClient, ServeClient)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        serve, tcp = ServeClient.update_batch, TCPServeClient.update_batch
+        assert serve is not tcp
+        assert serve.__wrapped__ is shared
+        assert tcp.__wrapped__ is shared
+    finally:
+        tracer.remove()
+    assert ServeClient.update_batch is shared
+    assert TCPServeClient.update_batch is shared
