@@ -684,18 +684,6 @@ class ClusterRouter(JsonLinesEndpoint):
             )
         )
 
-    async def _gather_shard_states(
-        self, route: SessionRoute
-    ) -> List[Tuple[Dict[Any, float], float]]:
-        """Per-shard ``(bins, total_weight)`` for the disjoint-union gather."""
-
-        # One ``estimates`` read per shard carries both the bins and the
-        # total, so each pair comes from a single member-side snapshot.
-        return [
-            (protocol.decode_pairs(result["pairs"]), float(result["total"]))
-            for result in await self._forward_all(route, "estimates")
-        ]
-
     @staticmethod
     def _sum_scalars(results: Sequence[Dict[str, Any]]) -> Dict[str, float]:
         """Sum per-shard scalar reads: estimates add, and — the shards
@@ -999,7 +987,7 @@ class ClusterRouter(JsonLinesEndpoint):
         sends = [
             (index, shard_items, shard_weights, shard_ts)
             for index, (shard_items, shard_weights, shard_ts) in enumerate(slices)
-            if shard_items
+            if len(shard_items)
         ]
         if non_blocking and any(route.migrating(index) for index, _, _, _ in sends):
             # Checked before anything is sent: the whole batch is
@@ -1071,10 +1059,9 @@ class ClusterRouter(JsonLinesEndpoint):
         if not route.sharded:
             return await self._forward(route, 0, "subset_sum", candidates=candidates)
         by_shard: Dict[int, List[Any]] = {}
-        for raw in candidates:
-            by_shard.setdefault(
-                route.shard_of(protocol.decode_item(raw)), []
-            ).append(raw)
+        shards = route.shards_of(protocol.decode_items(candidates))
+        for shard, raw in zip(shards, candidates):
+            by_shard.setdefault(shard, []).append(raw)
         if not by_shard:
             return {"estimate": 0.0, "variance": 0.0}
         results = await asyncio.gather(
@@ -1091,21 +1078,32 @@ class ClusterRouter(JsonLinesEndpoint):
 
     async def _op_heavy_hitters(self, request: Dict[str, Any]) -> Dict[str, Any]:
         route = self._route(request)
-        phi = float(request.get("phi", 0.01))
-        if not 0 < phi <= 1:
-            raise InvalidParameterError("phi must lie in (0, 1]")
+        phi = protocol.check_phi(request.get("phi"))
         if not route.sharded:
             return await self._forward(route, 0, "heavy_hitters", phi=phi)
-        bins, total = merge_shard_states(await self._gather_shard_states(route))
+        # One ``estimates`` read per shard carries both the bins and the
+        # total, so each pair comes from a single member-side snapshot;
+        # the threshold needs the global total, so every bin is read.
+        bins, total = merge_shard_states(
+            [
+                (protocol.decode_pairs(result["pairs"]), float(result["total"]))
+                for result in await self._forward_all(route, "estimates")
+            ]
+        )
         pairs = ranked_pairs(bins, threshold=phi * total)
         return {"pairs": protocol.encode_pairs(pairs)}
 
     async def _op_top_k(self, request: Dict[str, Any]) -> Dict[str, Any]:
         route = self._route(request)
-        k = int(request.get("k", 10))
-        if k < 0:
-            raise InvalidParameterError("k must be non-negative")
+        k = protocol.check_k(request.get("k"))
         if not route.sharded:
             return await self._forward(route, 0, "top_k", k=k)
-        bins, _ = merge_shard_states(await self._gather_shard_states(route))
+        # A member ranks its top k in ranked_pairs' order (count, then
+        # repr), and the shards are disjoint, so each shard's own top k
+        # holds its share of the global top k: the union of the shards'
+        # answers ranks to the full gather's answer.
+        results = await self._forward_all(route, "top_k", k=k)
+        bins, _ = merge_shard_states(
+            [(protocol.decode_pairs(result["pairs"]), 0.0) for result in results]
+        )
         return {"pairs": protocol.encode_pairs(ranked_pairs(bins, k=k))}

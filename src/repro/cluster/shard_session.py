@@ -32,12 +32,74 @@ import asyncio
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro._typing import Item
 from repro.distributed.partition import stable_shard
 from repro.errors import InvalidParameterError
-from repro.serve.protocol import decode_item
+from repro.serve.protocol import decode_items
 
-__all__ = ["SessionRoute", "scatter_batch"]
+__all__ = ["SessionRoute", "PlacementCache", "PLACEMENTS", "scatter_batch"]
+
+
+class PlacementCache:
+    """A bounded memo of label placements, shared by every session.
+
+    Keyed by ``(num_shards, seed)`` and then by ``repr(label)`` — the
+    string :func:`stable_shard` digests — so labels equal as dict keys
+    but with distinct reprs (``1``, ``1.0``, ``True``; ``0.0`` and
+    ``-0.0``) keep their distinct placements.  A column of plain ints
+    may key on the ints themselves, which never equal a ``repr`` string.
+    A miss goes through :func:`stable_shard`; once ``limit`` placements
+    are held, the memo starts over, so its size does not grow with the
+    number of sessions or labels.
+    """
+
+    def __init__(self, limit: int = 2**16) -> None:
+        self.limit = limit
+        self._tables: Dict[Tuple[int, int], Dict[Any, int]] = {}
+        self._size = 0
+
+    def __len__(self) -> int:
+        return self._size
+
+    def shards(
+        self,
+        labels: Sequence[Any],
+        num_shards: int,
+        seed: int,
+        *,
+        keys: Optional[Sequence[Any]] = None,
+    ) -> List[int]:
+        """The shard of each decoded label, hashing only the misses.
+
+        ``keys`` are the labels' memo keys: their reprs by default, or
+        the labels themselves when every one is a plain ``int``.
+        """
+        table = self._tables.setdefault((num_shards, seed), {})
+        if keys is None:
+            keys = list(map(repr, labels))
+        shards = list(map(table.get, keys))
+        if None in shards:
+            for index, shard in enumerate(shards):
+                if shard is None:
+                    shard = table.get(keys[index])  # a repeat of this batch
+                    if shard is None:
+                        if self._size >= self.limit:
+                            for held in self._tables.values():
+                                held.clear()
+                            self._size = 0
+                        shard = table[keys[index]] = stable_shard(
+                            labels[index], num_shards, seed=seed
+                        )
+                        self._size += 1
+                    shards[index] = shard
+        return shards
+
+
+#: The process-wide placement memo behind scatter, point reads and
+#: subset-sum grouping.
+PLACEMENTS = PlacementCache()
 
 
 @dataclass
@@ -102,9 +164,13 @@ class SessionRoute:
 
     def shard_of(self, item: Item) -> int:
         """The shard owning ``item`` (0 for single sessions)."""
+        return self.shards_of([item])[0]
+
+    def shards_of(self, items: Sequence[Item]) -> List[int]:
+        """The shard owning each of ``items`` (all 0 for single sessions)."""
         if not self.sharded:
-            return 0
-        return stable_shard(item, self.shards, seed=self.seed)
+            return [0] * len(items)
+        return PLACEMENTS.shards(items, self.shards, self.seed)
 
     def slots(self) -> List[Tuple[int, str, str]]:
         """All ``(shard_index, wire_name, member_id)`` placements."""
@@ -155,22 +221,25 @@ def scatter_batch(
     num_shards: int,
     *,
     seed: int = 0,
-) -> List[Tuple[List[Any], Optional[List[float]], Optional[List[float]]]]:
+) -> List[Tuple[Sequence[Any], Optional[Sequence[float]], Optional[Sequence[float]]]]:
     """Partition an aligned batch of wire rows by label hash.
 
     The timestamped sibling of
     :func:`repro.distributed.partition.hash_partition_batch` (windowed
     sessions need timestamps to travel with their rows): returns one
     ``(items, weights, timestamps)`` triple per shard, preserving the
-    within-shard arrival order.  Empty shards come back with empty lists
-    so callers can skip the network round trip entirely.
+    within-shard arrival order.  Empty shards come back with empty
+    columns so callers can skip the network round trip entirely.
 
-    ``items`` are wire values (a tuple label arrives as its JSON array)
-    and every column is forwarded unchanged; each row is placed by
-    :func:`stable_shard` of its decoded label.  Each distinct label is
-    hashed once per batch, memoized on its ``repr`` — the string the
-    hash digests — so ``1``, ``1.0`` and ``True``, equal as dict keys,
-    keep their distinct placements.
+    ``items`` are wire values: a list, where a tuple label arrives as its
+    JSON array, or a numeric numpy array from a column frame.  Each row
+    is placed by :func:`stable_shard` of its decoded label (an array's
+    ``tolist()`` value), looked up in :data:`PLACEMENTS`, so each label
+    is hashed once per process.  A list batch is split row by row with
+    every value forwarded as it is.  An array batch is placed once per
+    distinct label (float labels told apart by bit pattern, so ``0.0``
+    and ``-0.0`` stay apart) and split with one stable sort; its slices
+    are arrays, and list weights or timestamps become float64 arrays.
     """
     if num_shards < 1:
         raise InvalidParameterError(f"num_shards must be >= 1, got {num_shards}")
@@ -180,15 +249,13 @@ def scatter_batch(
                 f"items and {label} must align: got {len(items)} items "
                 f"and {len(column)} {label}"
             )
-    placed: Dict[str, int] = {}
-    row_shards: List[int] = []
-    for raw in items:
-        item = decode_item(raw) if type(raw) is list else raw
-        key = repr(item)
-        shard = placed.get(key)
-        if shard is None:
-            shard = placed[key] = stable_shard(item, num_shards, seed=seed)
-        row_shards.append(shard)
+    if isinstance(items, np.ndarray):
+        if items.dtype.kind in "biu" or (
+            items.dtype.kind == "f" and items.dtype.itemsize <= 8
+        ):
+            return _scatter_array(items, weights, timestamps, num_shards, seed)
+        items = items.tolist()
+    row_shards = PLACEMENTS.shards(decode_items(items), num_shards, seed)
 
     def split(column: Sequence[Any]) -> List[List[Any]]:
         parts: List[List[Any]] = [[] for _ in range(num_shards)]
@@ -207,3 +274,37 @@ def scatter_batch(
         )
         for shard in range(num_shards)
     ]
+
+
+def _scatter_array(
+    items: np.ndarray,
+    weights: Optional[Sequence[float]],
+    timestamps: Optional[Sequence[float]],
+    num_shards: int,
+    seed: int,
+) -> List[Tuple[np.ndarray, Optional[np.ndarray], Optional[np.ndarray]]]:
+    """:func:`scatter_batch` of a 1-D bool/int/uint/float label array."""
+    items = np.ascontiguousarray(items)
+    kind = items.dtype.kind
+    # Floats are told apart by bit pattern: np.unique would merge 0.0
+    # with -0.0, whose placements differ.
+    keys = items.view(f"u{items.dtype.itemsize}") if kind == "f" else items
+    distinct, inverse = np.unique(keys, return_inverse=True)
+    labels = (distinct.view(items.dtype) if kind == "f" else distinct).tolist()
+    placed = PLACEMENTS.shards(
+        labels, num_shards, seed, keys=labels if kind in "iu" else None
+    )
+    # Small unsigned shard ids: the stable sort is then a radix sort.
+    placement = np.array(placed, dtype=np.uint16 if num_shards <= 2**16 else np.intp)
+    row_shards = placement[inverse.reshape(-1)]
+    order = np.argsort(row_shards, kind="stable")
+    cuts = np.cumsum(np.bincount(row_shards, minlength=num_shards))[:-1]
+
+    def split(column: Optional[Sequence[float]]) -> List[Optional[np.ndarray]]:
+        if column is None:
+            return [None] * num_shards
+        return np.split(np.asarray(column, dtype=np.float64)[order], cuts)
+
+    return list(
+        zip(np.split(items[order], cuts), split(weights), split(timestamps))
+    )

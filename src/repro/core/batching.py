@@ -53,6 +53,13 @@ CollapsedBatch = Tuple[List[Item], List[float], int, float]
 WeightsLike = Optional[Union[np.ndarray, Sequence[float]]]
 
 
+def _row_order_sum(weights: np.ndarray) -> float:
+    """The weights' sum added in row order, as the list collapse adds it
+    (``ndarray.sum`` adds pairwise and can differ in the last bit), so a
+    batch totals the same in either container."""
+    return float(np.cumsum(weights, dtype=np.float64)[-1])
+
+
 def _collapse_numpy_core(
     items: np.ndarray, weights: Optional[np.ndarray]
 ) -> Tuple[np.ndarray, np.ndarray, int, float]:
@@ -77,7 +84,7 @@ def _collapse_numpy_core(
                 sums_by_value = np.bincount(
                     items, weights=weights.astype(np.float64), minlength=high + 1
                 )
-                total = float(weights.sum())
+                total = _row_order_sum(weights)
             occupancy = np.bincount(items, minlength=high + 1)
             unique = np.nonzero(occupancy)[0].astype(items.dtype, copy=False)
             # First-occurrence positions: writing row positions in reverse
@@ -96,7 +103,7 @@ def _collapse_numpy_core(
         sums = np.bincount(
             inverse, weights=weights.astype(np.float64), minlength=unique.size
         )
-        total = float(weights.sum())
+        total = _row_order_sum(weights)
     # np.unique sorts by value; restore first-occurrence order so the batch
     # is order-deterministic regardless of the input container type.
     order = np.argsort(first_index, kind="stable")

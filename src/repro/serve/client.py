@@ -18,9 +18,12 @@ implement ``_call``:
   load generators drive.
 * :class:`TCPServeClient` speaks the JSON-lines protocol of
   :mod:`repro.serve.protocol`, which encodes the fields and decodes the
-  result by name.  Predicates must be candidate collections (a callable
-  is refused before anything is sent); remote errors re-raise as their
-  original :mod:`repro.errors` classes.
+  result by name.  When the server's ``hello`` advertises column frames,
+  an ``update_batch`` of a bool/int/uint numpy label array sends its
+  columns as raw bytes instead of JSON arrays.  Predicates must be
+  candidate collections (a callable is refused before anything is
+  sent); remote errors re-raise as their original :mod:`repro.errors`
+  classes.
 
 The two transports share no other code path: ``TCPServeClient`` is not a
 ``ServeClient``.
@@ -358,6 +361,8 @@ class TCPServeClient(BaseServeClient):
         self._moved_retries = moved_retries
         self._moved_backoff = moved_backoff
         self.server_hello: Dict[str, Any] = {}
+        #: Whether the server reads column frames (its ``hello`` says so).
+        self._columns = False
 
     @classmethod
     async def connect(
@@ -439,6 +444,7 @@ class TCPServeClient(BaseServeClient):
             raise
         hello = protocol.decode_line(hello_line)
         client.server_hello = hello
+        client._columns = hello.get("columns") is True
         version = hello.get("wire_version")
         if version != protocol.WIRE_VERSION:
             await client.close()
@@ -475,7 +481,9 @@ class TCPServeClient(BaseServeClient):
             ) from exc
 
     async def _call(self, op: str, **fields) -> Any:
-        payload = await self.request(op, **protocol.encode_fields(fields))
+        payload = await self.request(
+            op, **protocol.encode_fields(fields, columns=self._columns)
+        )
         return protocol.decode_result(op, payload)
 
     async def request(self, op: str, **fields) -> Dict[str, Any]:
@@ -484,9 +492,12 @@ class TCPServeClient(BaseServeClient):
         The typed methods cover the stable surface; this is the escape
         hatch for ops without a wrapper (and the forwarding path the
         cluster router's member connections use): fields go out as wire
-        values, unencoded, and ``None``-valued fields are omitted.
-        Remote errors re-raise as their :mod:`repro.errors` classes, and
-        a :class:`~repro.errors.RouteMovedError` is retried transparently
+        values, unencoded, and ``None``-valued fields are omitted.  An
+        ``update_batch`` of numeric arrays goes as a column frame when the
+        server reads them (see :func:`~repro.serve.protocol.encode_line`),
+        and as a JSON line otherwise.  Remote errors re-raise as their
+        :mod:`repro.errors` classes, and a
+        :class:`~repro.errors.RouteMovedError` is retried transparently
         (see ``moved_retries``).
         """
         for attempt in range(self._moved_retries + 1):
@@ -505,7 +516,7 @@ class TCPServeClient(BaseServeClient):
         )
 
         async def round_trip() -> bytes:
-            self._writer.write(protocol.encode_line(request))
+            self._writer.write(protocol.encode_line(request, columns=self._columns))
             await self._writer.drain()
             return await self._reader.readline()
 

@@ -16,6 +16,15 @@ identical across fronts, which is what lets one
 :class:`~repro.serve.client.TCPServeClient` speak to either without
 knowing which it dialed.
 
+The ``hello`` line advertises column frames (``"columns": true``; see
+:mod:`repro.serve.protocol`).  When a request line lists ``columns``,
+the endpoint reads their bytes with ``readexactly`` — at most
+:data:`~repro.serve.protocol.MAX_LINE_BYTES` — and attaches them as
+arrays before dispatch.  A frame with a bad field, dtype, size,
+alignment or value gets a typed error envelope, and the connection
+reads on; a frame whose byte counts are unusable gets an error envelope
+and the connection closes, as an over-long line does.
+
 Graceful shutdown: :meth:`_stop_tcp` closes the listener, *cancels* every
 live connection task, and only then awaits ``wait_closed()`` (newer
 Pythons make ``wait_closed`` wait on handlers, so an idle client holding
@@ -101,6 +110,14 @@ class JsonLinesEndpoint:
     # ------------------------------------------------------------------
     # Connection handling
     # ------------------------------------------------------------------
+    def _hello(self) -> Dict[str, Any]:
+        """The greeting sent on connect: protocol revision and capabilities."""
+        return {
+            "hello": "repro.serve",
+            "wire_version": protocol.WIRE_VERSION,
+            "columns": True,
+        }
+
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
@@ -109,11 +126,7 @@ class JsonLinesEndpoint:
         if task is not None:
             self._conn_tasks.add(task)
         in_flight_id: Any = None  # id of a request currently being dispatched
-        writer.write(
-            protocol.encode_line(
-                {"hello": "repro.serve", "wire_version": protocol.WIRE_VERSION}
-            )
-        )
+        writer.write(protocol.encode_line(self._hello()))
         try:
             await writer.drain()
             while True:
@@ -138,18 +151,33 @@ class JsonLinesEndpoint:
                 if not line:
                     break
                 request = None
+                unusable = False  # a frame whose bytes cannot be skipped
                 try:
                     request = protocol.decode_line(line)
                     in_flight_id = request.get("id")
+                    try:
+                        layout = protocol.column_layout(request)
+                    except SerializationError:
+                        unusable = True
+                        raise
+                    if layout:
+                        blob = await reader.readexactly(
+                            sum(nbytes for _, _, nbytes in layout)
+                        )
+                        request = protocol.attach_columns(request, layout, blob)
                     if self._stopped:
                         raise ServerClosedError("server is shutting down")
                     response = await self._dispatch(request)
+                except asyncio.IncompleteReadError:
+                    raise
                 except Exception as exc:  # one bad request never kills the link
                     request_id = request.get("id") if isinstance(request, dict) else None
                     response = protocol.error_response(request_id, exc)
                 in_flight_id = None
                 writer.write(protocol.encode_line(response))
                 await writer.drain()
+                if unusable:
+                    break
         except (ConnectionResetError, asyncio.IncompleteReadError):
             pass
         except asyncio.CancelledError:

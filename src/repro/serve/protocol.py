@@ -28,6 +28,23 @@ TCP side adds lives here, keyed by name: :func:`encode_fields` and
 ``pairs``), validating what a peer sent, and :func:`encode_result` /
 :func:`decode_result` carry an op's normalized value in its result
 payload, by *op* name.
+
+**Column frames.**  A peer whose ``hello`` carries ``"columns": true``
+also reads ``update_batch`` requests whose numeric columns travel as raw
+little-endian bytes instead of JSON arrays.  The request line then holds
+every other field plus ``columns: [[field, dtype, nbytes], ...]``, and
+the columns' bytes follow the line directly, in that order.  A frame is
+sent only when ``items`` is a 1-D bool/int/uint array; its ``weights``
+and ``timestamps`` then go as float64 (``<f8``).  Label dtypes come from
+:data:`COLUMN_DTYPES` (``|b1``, ``|i1``, ``<i2``, ``<i4``, ``<i8``,
+``|u1``, ``<u2``, ``<u4``, ``<u8``).  Everything else — responses,
+control ops, object/str/tuple/float label columns, and any line to a
+peer that did not advertise frames — is the JSON line above, byte for
+byte.  :func:`column_layout` and :func:`attach_columns` check a frame as
+it is read: the byte counts first (unusable counts cannot be skipped,
+so the endpoint answers and closes), then the fields, dtypes, sizes,
+alignment and finiteness (a bad frame gets a typed error and the
+connection survives).
 """
 
 from __future__ import annotations
@@ -35,6 +52,8 @@ from __future__ import annotations
 import base64
 import binascii
 import json
+import math
+import numbers
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -54,6 +73,10 @@ __all__ = [
     "encode_reals",
     "decode_items",
     "check_rows",
+    "check_k",
+    "check_phi",
+    "column_layout",
+    "attach_columns",
     "encode_pairs",
     "decode_pairs",
     "encode_fields",
@@ -68,8 +91,20 @@ __all__ = [
 WIRE_VERSION = 1
 
 #: Hard cap on one wire line (64 MiB) — a malformed or hostile peer
-#: cannot make ``readline`` buffer unboundedly.
+#: cannot make ``readline`` buffer unboundedly.  The bytes of a column
+#: frame's columns are capped at the same size.
 MAX_LINE_BYTES = 64 * 1024 * 1024
+
+#: The ``update_batch`` fields a column frame may carry as raw bytes, by
+#: field, with the little-endian dtypes (``numpy.dtype.str``) each takes.
+COLUMN_DTYPES: Dict[str, frozenset] = {
+    "items": frozenset(
+        np.dtype(code).str
+        for code in ("?", "i1", "<i2", "<i4", "<i8", "u1", "<u2", "<u4", "<u8")
+    ),
+    "weights": frozenset({"<f8"}),
+    "timestamps": frozenset({"<f8"}),
+}
 
 #: Every request ``op`` the server dispatches, in lifecycle → ingest →
 #: query → admin order (documented one-per-row in ``docs/serve.md``).
@@ -130,12 +165,14 @@ def decode_item(payload: Any) -> Any:
     return payload
 
 
-def _numeric_column(values: Any) -> bool:
-    """Whether ``values`` is a 1-D bool/int/uint/float numpy array."""
+def _numeric_column(values: Any, kinds: str = "biuf") -> bool:
+    """Whether ``values`` is a 1-D numpy array of one of the dtype
+    ``kinds`` (bool/int/uint/float by default; a column frame's labels
+    are ``"biu"``)."""
     return (
         isinstance(values, np.ndarray)
         and values.ndim == 1
-        and values.dtype.kind in "biuf"
+        and values.dtype.kind in kinds
     )
 
 
@@ -231,14 +268,18 @@ def check_rows(
     (:class:`SerializationError` otherwise); ``weights`` and
     ``timestamps`` are ``null`` or arrays aligned with ``items``, holding
     finite real numbers and no booleans (:class:`InvalidParameterError`
-    otherwise).  The columns come back as the wire values, undecoded.
+    otherwise).  The columns come back as the wire values, undecoded;
+    a column frame's arrays, checked as they were read, pass as they are.
     """
-    items = _label_column("items", request.get("items"))
+    items = request.get("items")
+    if not isinstance(items, np.ndarray):
+        _label_column("items", items)
     columns = []
     for field in ("weights", "timestamps"):
         values = request.get(field)
         if values is not None:
-            _real_column(field, values)
+            if not isinstance(values, np.ndarray):
+                _real_column(field, values)
             if len(values) != len(items):
                 raise InvalidParameterError(
                     f"'{field}' must be null or an array aligned with "
@@ -246,6 +287,36 @@ def check_rows(
                 )
         columns.append(values)
     return items, columns[0], columns[1]
+
+
+def check_k(k: Any) -> int:
+    """A ``top_k`` count: a non-negative integer, and not a bool.
+
+    ``None`` (an absent field) reads as 10.
+    """
+    if k is None:
+        return 10
+    if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 0:
+        raise InvalidParameterError(f"'k' must be a non-negative integer, got {k!r}")
+    return int(k)
+
+
+def check_phi(phi: Any) -> float:
+    """A ``heavy_hitters`` fraction: a finite real in ``(0, 1]``, not a bool.
+
+    ``None`` (an absent field) reads as 0.01.
+    """
+    if phi is None:
+        return 0.01
+    if (
+        isinstance(phi, bool)
+        or not isinstance(phi, numbers.Real)
+        or not (math.isfinite(phi) and 0 < phi <= 1)
+    ):
+        raise InvalidParameterError(
+            f"'phi' must be a finite real number in (0, 1], got {phi!r}"
+        )
+    return float(phi)
 
 
 def encode_pairs(groups: "Dict[Any, float] | Iterable[Tuple[Any, float]]") -> List[List[Any]]:
@@ -296,6 +367,22 @@ _ENCODERS: Dict[str, Callable[[Any], Any]] = {
     "pairs": lambda groups: encode_pairs(groups),
 }
 
+
+def _real_array(values: Iterable[Any]) -> np.ndarray:
+    if isinstance(values, np.ndarray):
+        return values.astype(np.float64, copy=False)
+    return np.fromiter(values, dtype=np.float64)
+
+
+#: The encoders of a batch sent as a column frame: the label array stays
+#: as it is, and its real columns become float64 arrays.
+_FRAME_ENCODERS: Dict[str, Callable[[Any], Any]] = {
+    **_ENCODERS,
+    "items": lambda items: items,
+    "weights": _real_array,
+    "timestamps": _real_array,
+}
+
 #: Field name -> its checking wire-to-Python decoder ``(field, value)``;
 #: a single label or real is checked as a column of one.
 _DECODERS: Dict[str, Callable[[str, Any], Any]] = {
@@ -311,18 +398,27 @@ _DECODERS: Dict[str, Callable[[str, Any], Any]] = {
 }
 
 
-def encode_fields(fields: Dict[str, Any]) -> Dict[str, Any]:
+def encode_fields(fields: Dict[str, Any], *, columns: bool = False) -> Dict[str, Any]:
     """An op's fields (or result payload) as wire values, by field name.
 
     Labels become wire labels, columns become lists, ``frame`` bytes
     become base64 and ``pairs`` a pair list; ``None`` and every other
     field pass unchanged, in order.  A callable ``candidates`` predicate
     raises :class:`InvalidParameterError`: it cannot be sent.
+
+    With ``columns=True`` (the peer reads column frames) a numeric label
+    array stays an array and its weights and timestamps become float64
+    arrays, for :func:`encode_line` to send as a frame.
     """
+    encoders = (
+        _FRAME_ENCODERS
+        if columns and _numeric_column(fields.get("items"), "biu")
+        else _ENCODERS
+    )
     return {
         key: value
-        if value is None or key not in _ENCODERS
-        else _ENCODERS[key](value)
+        if value is None or key not in encoders
+        else encoders[key](value)
         for key, value in fields.items()
     }
 
@@ -333,11 +429,14 @@ def decode_fields(message: Dict[str, Any]) -> Dict[str, Any]:
     The inverse of :func:`encode_fields`, and the check at the boundary,
     with the errors of :func:`check_rows`, for a single row as for a
     column.  ``null`` fields and fields without a decoder stay as they are.
+    A column frame's arrays were checked as they were read
+    (:func:`attach_columns`) and pass as they are.
     """
     fields = dict(message)
     for key in fields.keys() & _DECODERS.keys():
-        if fields[key] is not None:
-            fields[key] = _DECODERS[key](key, fields[key])
+        value = fields[key]
+        if value is not None and not isinstance(value, np.ndarray):
+            fields[key] = _DECODERS[key](key, value)
     return fields
 
 
@@ -408,11 +507,122 @@ def _jsonable(value: Any) -> Any:
     raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
-def encode_line(payload: Dict[str, Any]) -> bytes:
-    """One protocol message as a compact, newline-terminated JSON line."""
+def _json_line(payload: Dict[str, Any]) -> bytes:
     return (
         json.dumps(payload, separators=(",", ":"), default=_jsonable) + "\n"
     ).encode("utf-8")
+
+
+def encode_line(payload: Dict[str, Any], *, columns: bool = False) -> bytes:
+    """One protocol message as a compact, newline-terminated JSON line.
+
+    With ``columns=True`` (the peer's ``hello`` advertised column frames)
+    an ``update_batch`` whose ``items`` is a bool/int/uint array goes as
+    a column frame instead: the line lists ``columns`` in place of the
+    column fields, and their little-endian bytes follow it.  Any other
+    message, or any array a peer cannot read as a frame, is the JSON
+    line (numpy values lowered to their Python twins).
+    """
+    if not (
+        columns
+        and payload.get("op") == "update_batch"
+        and _numeric_column(payload.get("items"), "biu")
+    ):
+        return _json_line(payload)
+    items = payload["items"]
+    arrays = {"items": np.ascontiguousarray(items, items.dtype.newbyteorder("<"))}
+    for field in ("weights", "timestamps"):
+        if payload.get(field) is not None:
+            arrays[field] = np.ascontiguousarray(payload[field], "<f8")
+    header = {key: value for key, value in payload.items() if key not in arrays}
+    header["columns"] = [
+        [field, array.dtype.str, array.nbytes] for field, array in arrays.items()
+    ]
+    return b"".join([_json_line(header), *(array.data for array in arrays.values())])
+
+
+def column_layout(header: Dict[str, Any]) -> List[List[Any]]:
+    """The ``[field, dtype, nbytes]`` columns that follow a request line.
+
+    Empty for a plain JSON line.  Raises :class:`SerializationError` when
+    the byte counts are unusable — not an array of triples with
+    non-negative integer counts, or more than :data:`MAX_LINE_BYTES` in
+    all — because the reader then cannot find the next line.
+    """
+    layout = header.get("columns")
+    if layout is None:
+        return []
+    if not isinstance(layout, list) or not all(
+        type(entry) is list
+        and len(entry) == 3
+        and type(entry[2]) is int
+        and entry[2] >= 0
+        for entry in layout
+    ):
+        raise SerializationError(
+            "'columns' must be an array of [field, dtype, nbytes] triples "
+            "with non-negative integer byte counts"
+        )
+    if sum(entry[2] for entry in layout) > MAX_LINE_BYTES:
+        raise SerializationError(f"column bytes exceed {MAX_LINE_BYTES} bytes")
+    return layout
+
+
+def attach_columns(
+    header: Dict[str, Any], layout: List[List[Any]], blob: bytes
+) -> Dict[str, Any]:
+    """The request a column frame carries: its columns as numpy arrays.
+
+    ``blob`` is the ``sum(nbytes)`` bytes that followed the line.  Only
+    ``update_batch`` takes a frame, and a frame must carry ``items``;
+    each field appears once, is not also a JSON field, and takes a dtype
+    of :data:`COLUMN_DTYPES` whose item size divides its byte count
+    (:class:`SerializationError` otherwise).  The columns must align and
+    reals must be finite (:class:`InvalidParameterError` otherwise).  The
+    arrays are read-only views of ``blob``.
+    """
+    request = {key: value for key, value in header.items() if key != "columns"}
+    if request.get("op") != "update_batch":
+        raise SerializationError("only 'update_batch' takes binary columns")
+    arrays: Dict[str, np.ndarray] = {}
+    view = memoryview(blob)
+    offset = 0
+    for field, code, nbytes in layout:
+        chunk, offset = view[offset : offset + nbytes], offset + nbytes
+        allowed = COLUMN_DTYPES.get(field) if type(field) is str else None
+        if allowed is None:
+            raise SerializationError(
+                f"binary column {field!r} is not one of {sorted(COLUMN_DTYPES)}"
+            )
+        if field in request or field in arrays:
+            raise SerializationError(f"field {field!r} is sent twice")
+        if type(code) is not str or code not in allowed:
+            raise SerializationError(
+                f"binary column {field!r} cannot take dtype {code!r} "
+                f"(allowed: {', '.join(sorted(allowed))})"
+            )
+        dtype = np.dtype(code)
+        if nbytes % dtype.itemsize:
+            raise SerializationError(
+                f"binary column {field!r} has {nbytes} bytes, not a whole "
+                f"number of {code} values"
+            )
+        arrays[field] = np.frombuffer(chunk, dtype=dtype)
+    if "items" not in arrays:
+        raise SerializationError("a binary column frame must carry 'items'")
+    rows = len(arrays["items"])
+    for field in ("weights", "timestamps"):
+        column = arrays.get(field)
+        if column is not None:
+            if len(column) != rows:
+                raise InvalidParameterError(
+                    f"'{field}' must be null or an array aligned with "
+                    f"'items' ({rows} rows)"
+                )
+            if not np.isfinite(column).all():
+                raise InvalidParameterError(f"'{field}' must hold finite real numbers")
+    request.update(arrays)
+    return request
 
 
 def decode_line(line: bytes) -> Dict[str, Any]:

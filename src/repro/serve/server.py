@@ -354,6 +354,9 @@ class SketchServer(JsonLinesEndpoint):
         if size is None:
             raise InvalidParameterError("'create' needs a size")
         build_kwargs = dict(fields.get("params") or {})
+        # ``shards`` asks a router to key-shard the session; one server
+        # serves it whole.
+        build_kwargs.pop("shards", None)
         for field in ("backend", "window", "seed", "num_shards"):
             if fields.get(field) is not None:
                 build_kwargs[field] = fields[field]
@@ -440,11 +443,12 @@ class SketchServer(JsonLinesEndpoint):
         return self._served(fields).total()
 
     async def _op_heavy_hitters(self, fields: Dict[str, Any]) -> QueryResult:
-        served = self._served(fields)
-        return served.heavy_hitters(float(fields.get("phi", 0.01)))
+        phi = protocol.check_phi(fields.get("phi"))
+        return self._served(fields).heavy_hitters(phi)
 
     async def _op_top_k(self, fields: Dict[str, Any]) -> QueryResult:
-        return self._served(fields).top_k(int(fields.get("k", 10)))
+        k = protocol.check_k(fields.get("k"))
+        return self._served(fields).top_k(k)
 
     async def _op_checkpoint(self, fields: Dict[str, Any]) -> int:
         if self._checkpointer is None:

@@ -15,7 +15,9 @@ count plus the exact ground-truth queries the evaluation harness needs
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -52,9 +54,10 @@ class FrequencyModel:
     _total: int = field(init=False, repr=False, default=0)
 
     def __post_init__(self) -> None:
-        for item, count in self.counts.items():
-            if count < 0:
-                raise InvalidParameterError(f"negative count for item {item!r}")
+        # One C-level pass; the offender is looked up only on failure.
+        if any(map(operator.lt, self.counts.values(), itertools.repeat(0))):
+            item = next(item for item, count in self.counts.items() if count < 0)
+            raise InvalidParameterError(f"negative count for item {item!r}")
         object.__setattr__(self, "_total", int(sum(self.counts.values())))
 
     # -- exact queries ----------------------------------------------------
@@ -109,6 +112,13 @@ class FrequencyModel:
         return {"mean": mean, "std": std, "cv": std / mean if mean else 0.0}
 
 
+def _ranked_model(counts: np.ndarray, name: str) -> FrequencyModel:
+    """Labels ``1..len(counts)`` with the given integer counts."""
+    return FrequencyModel(
+        counts=dict(zip(range(1, len(counts) + 1), counts.tolist())), name=name
+    )
+
+
 def _quantile_grid(num_items: int) -> np.ndarray:
     """The regular grid of quantiles used by the paper's inverse-CDF draws."""
     if num_items < 1:
@@ -142,11 +152,7 @@ def weibull_counts(
         quantiles = rng.uniform(size=num_items)
     counts = np.rint(scale * (-np.log1p(-quantiles)) ** (1.0 / shape)).astype(np.int64)
     counts = np.maximum(counts, min_count)
-    labels = range(1, num_items + 1)
-    return FrequencyModel(
-        counts={label: int(count) for label, count in zip(labels, counts)},
-        name=f"weibull(scale={scale:g}, shape={shape:g})",
-    )
+    return _ranked_model(counts, f"weibull(scale={scale:g}, shape={shape:g})")
 
 
 def geometric_counts(
@@ -169,11 +175,7 @@ def geometric_counts(
         np.log1p(-quantiles) / math.log(1.0 - success_probability)
     ).astype(np.int64)
     counts = np.maximum(counts, min_count)
-    labels = range(1, num_items + 1)
-    return FrequencyModel(
-        counts={label: int(count) for label, count in zip(labels, counts)},
-        name=f"geometric(p={success_probability:g})",
-    )
+    return _ranked_model(counts, f"geometric(p={success_probability:g})")
 
 
 def zipf_counts(
@@ -188,15 +190,11 @@ def zipf_counts(
         raise InvalidParameterError("exponent must be positive")
     if total < num_items:
         raise InvalidParameterError("total must be at least num_items")
-    ranks = np.arange(1, num_items + 1, dtype=np.float64)
-    weights = ranks**-exponent
+    weights = np.arange(1, num_items + 1, dtype=np.float64) ** -exponent
     weights /= weights.sum()
     counts = np.maximum(np.rint(weights * total).astype(np.int64), min_count)
-    labels = range(1, num_items + 1)
-    return FrequencyModel(
-        counts={label: int(count) for label, count in zip(labels, counts)},
-        name=f"zipf(s={exponent:g})",
-    )
+    del weights  # freed before the model's dict is built: a lower peak RSS
+    return _ranked_model(counts, f"zipf(s={exponent:g})")
 
 
 def uniform_counts(num_items: int = 1000, count: int = 100) -> FrequencyModel:
@@ -263,8 +261,4 @@ def scaled_weibull_counts(
     counts = np.maximum(
         np.rint(weights * (target_total / weights.sum())).astype(np.int64), min_count
     )
-    labels = range(1, num_items + 1)
-    return FrequencyModel(
-        counts={label: int(count) for label, count in zip(labels, counts)},
-        name=f"weibull(shape={shape:g}, total≈{target_total:g})",
-    )
+    return _ranked_model(counts, f"weibull(shape={shape:g}, total≈{target_total:g})")

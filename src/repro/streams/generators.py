@@ -14,7 +14,7 @@ are integers, falling back to Python lists otherwise.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Collection, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -43,16 +43,30 @@ Stream = Union[np.ndarray, List[Item]]
 TimestampedRow = Tuple[Item, float, float]
 
 
-def _expand_counts(model: FrequencyModel) -> Stream:
-    """One row per occurrence, grouped by item in model order."""
-    labels = model.items()
-    counts = [model.count(label) for label in labels]
-    if all(isinstance(label, (int, np.integer)) for label in labels):
-        return np.repeat(np.asarray(labels, dtype=np.int64), counts)
+def _integer_labels(labels: Collection[Item]) -> bool:
+    """Whether every label is an integer (``bool`` included), checked
+    once per label type rather than once per label."""
+    return all(issubclass(kind, (int, np.integer)) for kind in set(map(type, labels)))
+
+
+def _repeat(labels: Collection[Item], counts: Sequence[int]) -> Stream:
+    """Each label ``count`` times, in order: an int64 array when every
+    label is an integer, else a list."""
+    if _integer_labels(labels):
+        return np.repeat(np.fromiter(labels, dtype=np.int64, count=len(labels)), counts)
     expanded: List[Item] = []
     for label, count in zip(labels, counts):
         expanded.extend([label] * count)
     return expanded
+
+
+def _expand_counts(model: FrequencyModel) -> Stream:
+    """One row per occurrence, grouped by item in model order."""
+    counts = np.fromiter(model.counts.values(), dtype=np.int64, count=model.num_items)
+    # Labels straight from the dict and repeats as a list: of the ways
+    # tried, this leaves the heap so the shuffle's copy reuses it, and
+    # the peak RSS stays at the per-label loop's.
+    return _repeat(model.counts.keys(), counts.tolist())
 
 
 def rows_from_counts(
@@ -89,14 +103,10 @@ def rows_from_counts(
     if order in ("sorted_ascending", "sorted_descending"):
         ascending = order == "sorted_ascending"
         ordered_items = model.sorted_items(ascending=ascending)
-        if all(isinstance(label, (int, np.integer)) for label, _ in ordered_items):
-            labels = np.asarray([label for label, _ in ordered_items], dtype=np.int64)
-            counts = [count for _, count in ordered_items]
-            return np.repeat(labels, counts)
-        expanded: List[Item] = []
-        for label, count in ordered_items:
-            expanded.extend([label] * count)
-        return expanded
+        return _repeat(
+            [label for label, _ in ordered_items],
+            [count for _, count in ordered_items],
+        )
     raise InvalidParameterError(
         f"unknown order {order!r}; expected 'shuffled', 'grouped', "
         "'sorted_ascending' or 'sorted_descending'"

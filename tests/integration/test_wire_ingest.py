@@ -253,7 +253,7 @@ class TestGather:
                 await _close(client, router, *servers)
 
         top, top_ops, hh_ops, estimates, total = run(scenario())
-        assert top_ops == ["estimates"] * 4
+        assert top_ops == ["top_k"] * 4
         assert hh_ops == ["estimates"] * 4
         assert len(top.groups) == 3
         # The additive ``total`` field sums across shards exactly.

@@ -4,14 +4,16 @@ The ring is a pure function of ``(member set, replicas, seed)``, so its
 contracts can be stated over arbitrary memberships and keys: ownership is
 order- and construction-independent, removal re-homes exactly the removed
 member's keys, and the preference walk is a permutation starting at the
-owner.  The router's ``scatter_batch`` over wire values places every row
-exactly where the per-row label hash does.
+owner.  The router's ``scatter_batch`` over wire values, and over the
+numeric label arrays of a column frame, places every row exactly where
+the per-row label hash does.
 """
 
 from __future__ import annotations
 
 import json
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -123,3 +125,70 @@ def test_scatter_over_wire_values_matches_per_row_placement(rows, shards, seed, 
             assert all(t is timestamps[i] for t, i in zip(shard_ts, owned))
         else:
             assert shard_weights is None and shard_ts is None
+
+
+#: Float labels whose values tie as numbers but whose reprs (hence
+#: placements) differ, drawn often so one batch mixes them.
+FLOAT_TWINS = [0.0, -0.0, 1.0, -1.0, float("inf"), float("-inf"), float("nan")]
+
+
+@st.composite
+def label_arrays(draw):
+    dtype = draw(st.sampled_from(["?", "i1", "<i8", "<u8", "<f8", "<f4"]))
+    size = draw(st.integers(0, 60))
+    kind = np.dtype(dtype).kind
+    if kind == "b":
+        values = st.booleans()
+    elif kind == "f":
+        values = st.one_of(st.sampled_from(FLOAT_TWINS), st.floats(width=32))
+    else:
+        info = np.iinfo(dtype)
+        # A few distinct values repeat; extremes exercise the full range.
+        values = st.one_of(
+            st.integers(-3, 3).filter(lambda v: info.min <= v <= info.max),
+            st.sampled_from([int(info.min), int(info.max)]),
+        )
+    return np.array(draw(st.lists(values, min_size=size, max_size=size)), dtype=dtype)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    column=label_arrays(),
+    shards=st.integers(1, 6),
+    seed=st.integers(0, 2**16),
+    columns=st.booleans(),
+)
+def test_scatter_over_arrays_matches_per_row_placement(column, shards, seed, columns):
+    """A numeric label array is placed per row as its ``tolist()`` value
+    would be, in arrival order, with its columns following its rows."""
+    weights = np.arange(len(column), dtype=np.float64) + 0.5 if columns else None
+    timestamps = [0.25 * index for index in range(len(column))] if columns else None
+    slices = scatter_batch(column, weights, timestamps, shards, seed=seed)
+    assert len(slices) == shards
+    expected = [stable_shard(label, shards, seed=seed) for label in column.tolist()]
+    bits = f"u{column.dtype.itemsize}"
+    for shard, (items, shard_weights, shard_ts) in enumerate(slices):
+        owned = [index for index, owner in enumerate(expected) if owner == shard]
+        assert isinstance(items, np.ndarray) and items.dtype == column.dtype
+        # Bit patterns, so -0.0 is not taken for 0.0 nor NaN lost.
+        assert items.view(bits).tolist() == column[owned].view(bits).tolist()
+        if columns:
+            assert shard_weights.tolist() == weights[owned].tolist()
+            assert shard_ts.tolist() == [timestamps[index] for index in owned]
+        else:
+            assert shard_weights is None and shard_ts is None
+
+
+def test_placement_cache_is_bounded_and_keeps_twins_apart():
+    from repro.cluster.shard_session import PlacementCache
+
+    cache = PlacementCache(limit=8)
+    labels = [1, 1.0, True, 0.0, -0.0, 0, False, "1", (1,)]
+    for seed in (0, 7):
+        placed = cache.shards(labels, 5, seed)
+        assert placed == [stable_shard(label, 5, seed=seed) for label in labels]
+        assert len(cache) <= 8
+    for start in range(0, 100, 10):
+        batch = list(range(start, start + 10))
+        assert cache.shards(batch, 3, 1) == [stable_shard(v, 3, seed=1) for v in batch]
+        assert len(cache) <= 8

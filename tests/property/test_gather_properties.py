@@ -8,7 +8,9 @@ capacity, where the unbiased reduction is the identity, then ranks by
 ``(-count, repr(label))``.  The plain union must give the same wire
 bytes for any per-shard bin maps: labels repeated across shards (their
 counts add), zero counts (dropped), int-valued counts (reported as
-floats), every ``k`` and every heavy-hitter threshold.
+floats), every ``k`` and every heavy-hitter threshold.  A ``top_k``
+pushed down to disjoint shards — each member's own top k, then the
+ranked union — gives the full gather's bytes.
 """
 
 from __future__ import annotations
@@ -100,3 +102,32 @@ def test_union_keeps_positive_counts_as_floats_and_adds_repeats():
     assert bins == {"a": 3.5, "b": 3.0}
     assert all(type(count) is float for count in bins.values())
     assert total == 6.5
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    bins=st.dictionaries(labels, counts, max_size=40),
+    num_shards=st.integers(min_value=1, max_value=5),
+    owners=st.randoms(use_true_random=False),
+    k=st.integers(min_value=0, max_value=50),
+)
+def test_top_k_pushed_down_to_disjoint_shards_matches_the_full_gather(
+    bins, num_shards, owners, k
+):
+    """Each shard answers its own ``top_k(k)`` as a member does; the
+    union of those answers, ranked, is the full gather's top k."""
+    shard_bins = [{} for _ in range(num_shards)]
+    for label, count in bins.items():
+        shard_bins[owners.randrange(num_shards)][label] = count
+    states = [(shard, float(sum(shard.values()))) for shard in shard_bins]
+    full = ranked_pairs(merge_shard_states(states)[0], k=k)
+    answers = []
+    for shard in shard_bins:
+        member = UnbiasedSpaceSaving.from_bins(
+            max(1, len(shard)), shard, total_weight=sum(shard.values()), seed=0
+        )
+        # The member's answer as it crosses the wire.
+        pairs = protocol.encode_pairs(dict(member.top_k(k)))
+        answers.append((protocol.decode_pairs(pairs), 0.0))
+    pushed = ranked_pairs(merge_shard_states(answers)[0], k=k)
+    assert wire(pushed) == wire(full)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 from collections import Counter
 
 import numpy as np
@@ -262,3 +263,80 @@ class TestEpochPartition:
         partition = EpochPartition(model, num_epochs=2)
         with pytest.raises(InvalidParameterError):
             partition.predicate(7)
+
+
+def _digest(stream) -> str:
+    """A short digest of a stream's exact contents (dtype included)."""
+    if isinstance(stream, np.ndarray):
+        data = str(stream.dtype).encode() + stream.tobytes()
+    else:
+        data = repr(stream).encode()
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+#: Digests of every order of three models' rows, and of their
+#: exchangeable stream, under ``default_rng(7)``.  Recorded from the
+#: per-label expansion; the vectorized one must reproduce them exactly.
+EXPANSION_DIGESTS = {
+    "int": {
+        "grouped": "d2647be89f33712d",
+        "shuffled": "744f5df942a714b3",
+        "sorted_ascending": "5586a7c9213361e2",
+        "sorted_descending": "d2647be89f33712d",
+        "exchangeable": "744f5df942a714b3",
+    },
+    "bool": {
+        "grouped": "175a5e497ab3c365",
+        "shuffled": "c13682d28235961a",
+        "sorted_ascending": "cfd9c494d976f5af",
+        "sorted_descending": "175a5e497ab3c365",
+        "exchangeable": "c13682d28235961a",
+    },
+    "tuple": {
+        "grouped": "0c8a6d4159f9323b",
+        "shuffled": "5d34ff089815f1bc",
+        "sorted_ascending": "aea7d2d860b1d10c",
+        "sorted_descending": "31f3571c5df8201e",
+        "exchangeable": "5d34ff089815f1bc",
+    },
+}
+
+EXPANSION_MODELS = {
+    "int": lambda: zipf_counts(num_items=50, exponent=1.1, total=2000),
+    "bool": lambda: FrequencyModel(counts={True: 7, False: 3}),
+    "tuple": lambda: FrequencyModel(
+        counts={("a", 1): 4, ("b", 2): 9, ("c", 0): 1, ("a", 2): 2}
+    ),
+}
+
+
+class TestExpansionIsPinned:
+    @pytest.mark.parametrize("name", sorted(EXPANSION_MODELS))
+    @pytest.mark.parametrize(
+        "order", ["grouped", "shuffled", "sorted_ascending", "sorted_descending"]
+    )
+    def test_rows_from_counts(self, name, order):
+        model = EXPANSION_MODELS[name]()
+        rows = rows_from_counts(model, order=order, rng=np.random.default_rng(7))
+        assert _digest(rows) == EXPANSION_DIGESTS[name][order]
+
+    @pytest.mark.parametrize("name", sorted(EXPANSION_MODELS))
+    def test_exchangeable_stream(self, name):
+        model = EXPANSION_MODELS[name]()
+        rows = exchangeable_stream(model, rng=np.random.default_rng(7))
+        assert _digest(rows) == EXPANSION_DIGESTS[name]["exchangeable"]
+
+    def test_integer_and_bool_labels_expand_to_int64(self):
+        assert rows_from_counts(EXPANSION_MODELS["bool"](), order="grouped").tolist() == (
+            [1] * 7 + [0] * 3
+        )
+        rows = rows_from_counts(EXPANSION_MODELS["tuple"](), order="grouped")
+        assert isinstance(rows, list) and rows[:5] == [("a", 1)] * 4 + [("b", 2)]
+
+    def test_factories_keep_python_int_counts(self):
+        for model in (zipf_counts(num_items=20), weibull_counts(num_items=20)):
+            assert all(type(count) is int for count in model.counts.values())
+
+    def test_negative_count_names_the_first_offender(self):
+        with pytest.raises(InvalidParameterError, match="'b'"):
+            FrequencyModel(counts={"a": 1, "b": -2, "c": -1})
