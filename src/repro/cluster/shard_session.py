@@ -39,67 +39,54 @@ from repro.distributed.partition import stable_shard
 from repro.errors import InvalidParameterError
 from repro.serve.protocol import decode_items
 
-__all__ = ["SessionRoute", "PlacementCache", "PLACEMENTS", "scatter_batch"]
+__all__ = ["SessionRoute", "scatter_batch"]
 
-
-class PlacementCache:
-    """A bounded memo of label placements, shared by every session.
-
-    Keyed by ``(num_shards, seed)`` and then by ``repr(label)`` — the
-    string :func:`stable_shard` digests — so labels equal as dict keys
-    but with distinct reprs (``1``, ``1.0``, ``True``; ``0.0`` and
-    ``-0.0``) keep their distinct placements.  A column of plain ints
-    may key on the ints themselves, which never equal a ``repr`` string.
-    A miss goes through :func:`stable_shard`; once ``limit`` placements
-    are held, the memo starts over, so its size does not grow with the
-    number of sessions or labels.
-    """
-
-    def __init__(self, limit: int = 2**16) -> None:
-        self.limit = limit
-        self._tables: Dict[Tuple[int, int], Dict[Any, int]] = {}
-        self._size = 0
-
-    def __len__(self) -> int:
-        return self._size
-
-    def shards(
-        self,
-        labels: Sequence[Any],
-        num_shards: int,
-        seed: int,
-        *,
-        keys: Optional[Sequence[Any]] = None,
-    ) -> List[int]:
-        """The shard of each decoded label, hashing only the misses.
-
-        ``keys`` are the labels' memo keys: their reprs by default, or
-        the labels themselves when every one is a plain ``int``.
-        """
-        table = self._tables.setdefault((num_shards, seed), {})
-        if keys is None:
-            keys = list(map(repr, labels))
-        shards = list(map(table.get, keys))
-        if None in shards:
-            for index, shard in enumerate(shards):
-                if shard is None:
-                    shard = table.get(keys[index])  # a repeat of this batch
-                    if shard is None:
-                        if self._size >= self.limit:
-                            for held in self._tables.values():
-                                held.clear()
-                            self._size = 0
-                        shard = table[keys[index]] = stable_shard(
-                            labels[index], num_shards, seed=seed
-                        )
-                        self._size += 1
-                    shards[index] = shard
-        return shards
-
-
+#: At most this many label placements are memoized, over every session.
+_PLACEMENT_LIMIT = 2**16
 #: The process-wide placement memo behind scatter, point reads and
-#: subset-sum grouping.
-PLACEMENTS = PlacementCache()
+#: subset-sum grouping: ``(num_shards, seed)`` -> memo key -> shard.
+_placements: Dict[Tuple[int, int], Dict[Any, int]] = {}
+
+
+def _place(
+    labels: Sequence[Any],
+    num_shards: int,
+    seed: int,
+    *,
+    keys: Optional[Sequence[Any]] = None,
+) -> List[int]:
+    """The shard of each decoded label, hashing only the memo's misses.
+
+    The memo keys a label by ``repr(label)`` — the string
+    :func:`stable_shard` digests — so labels equal as dict keys but with
+    distinct reprs (``1``, ``1.0``, ``True``; ``0.0`` and ``-0.0``) keep
+    their distinct placements.  ``keys`` may instead be the labels
+    themselves when every one is a plain ``int``, which never equals a
+    ``repr`` string.  A miss goes through :func:`stable_shard`; once
+    :data:`_PLACEMENT_LIMIT` placements are held the memo starts over, so
+    its size grows with neither the sessions nor the labels.
+    """
+    table = _placements.setdefault((num_shards, seed), {})
+    if keys is None:
+        keys = list(map(repr, labels))
+    shards = list(map(table.get, keys))
+    if None in shards:
+        held = sum(map(len, _placements.values()))
+        for index, shard in enumerate(shards):
+            if shard is None:
+                key = keys[index]
+                shard = table.get(key)  # a repeat within this batch
+                if shard is None:
+                    if held >= _PLACEMENT_LIMIT:
+                        _placements.clear()
+                        table = _placements[(num_shards, seed)] = {}
+                        held = 0
+                    shard = table[key] = stable_shard(
+                        labels[index], num_shards, seed=seed
+                    )
+                    held += 1
+                shards[index] = shard
+    return shards
 
 
 @dataclass
@@ -170,7 +157,7 @@ class SessionRoute:
         """The shard owning each of ``items`` (all 0 for single sessions)."""
         if not self.sharded:
             return [0] * len(items)
-        return PLACEMENTS.shards(items, self.shards, self.seed)
+        return _place(items, self.shards, self.seed)
 
     def slots(self) -> List[Tuple[int, str, str]]:
         """All ``(shard_index, wire_name, member_id)`` placements."""
@@ -234,12 +221,12 @@ def scatter_batch(
     ``items`` are wire values: a list, where a tuple label arrives as its
     JSON array, or a numeric numpy array from a column frame.  Each row
     is placed by :func:`stable_shard` of its decoded label (an array's
-    ``tolist()`` value), looked up in :data:`PLACEMENTS`, so each label
-    is hashed once per process.  A list batch is split row by row with
-    every value forwarded as it is.  An array batch is placed once per
-    distinct label (float labels told apart by bit pattern, so ``0.0``
-    and ``-0.0`` stay apart) and split with one stable sort; its slices
-    are arrays, and list weights or timestamps become float64 arrays.
+    ``tolist()`` value), looked up in the process-wide placement memo, so
+    each label is hashed once per process.  A list batch is split row by
+    row with every value forwarded as it is.  A bool/int/uint array batch
+    is placed once per distinct label and split with one stable sort; its
+    slices are arrays, and list weights or timestamps become float64
+    arrays.  Any other array is split as its ``tolist()`` list.
     """
     if num_shards < 1:
         raise InvalidParameterError(f"num_shards must be >= 1, got {num_shards}")
@@ -250,12 +237,10 @@ def scatter_batch(
                 f"and {len(column)} {label}"
             )
     if isinstance(items, np.ndarray):
-        if items.dtype.kind in "biu" or (
-            items.dtype.kind == "f" and items.dtype.itemsize <= 8
-        ):
+        if items.ndim == 1 and items.dtype.kind in "biu":
             return _scatter_array(items, weights, timestamps, num_shards, seed)
         items = items.tolist()
-    row_shards = PLACEMENTS.shards(decode_items(items), num_shards, seed)
+    row_shards = _place(decode_items(items), num_shards, seed)
 
     def split(column: Sequence[Any]) -> List[List[Any]]:
         parts: List[List[Any]] = [[] for _ in range(num_shards)]
@@ -283,16 +268,11 @@ def _scatter_array(
     num_shards: int,
     seed: int,
 ) -> List[Tuple[np.ndarray, Optional[np.ndarray], Optional[np.ndarray]]]:
-    """:func:`scatter_batch` of a 1-D bool/int/uint/float label array."""
-    items = np.ascontiguousarray(items)
-    kind = items.dtype.kind
-    # Floats are told apart by bit pattern: np.unique would merge 0.0
-    # with -0.0, whose placements differ.
-    keys = items.view(f"u{items.dtype.itemsize}") if kind == "f" else items
-    distinct, inverse = np.unique(keys, return_inverse=True)
-    labels = (distinct.view(items.dtype) if kind == "f" else distinct).tolist()
-    placed = PLACEMENTS.shards(
-        labels, num_shards, seed, keys=labels if kind in "iu" else None
+    """:func:`scatter_batch` of a 1-D bool/int/uint label array."""
+    distinct, inverse = np.unique(items, return_inverse=True)
+    labels = distinct.tolist()
+    placed = _place(
+        labels, num_shards, seed, keys=labels if items.dtype.kind in "iu" else None
     )
     # Small unsigned shard ids: the stable sort is then a radix sort.
     placement = np.array(placed, dtype=np.uint16 if num_shards <= 2**16 else np.intp)

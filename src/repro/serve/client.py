@@ -481,9 +481,7 @@ class TCPServeClient(BaseServeClient):
             ) from exc
 
     async def _call(self, op: str, **fields) -> Any:
-        payload = await self.request(
-            op, **protocol.encode_fields(fields, columns=self._columns)
-        )
+        payload = await self.request(op, **protocol.encode_fields(fields))
         return protocol.decode_result(op, payload)
 
     async def request(self, op: str, **fields) -> Dict[str, Any]:

@@ -176,24 +176,32 @@ def _numeric_column(values: Any, kinds: str = "biuf") -> bool:
     )
 
 
-def encode_items(items: Iterable[Any]) -> List[Any]:
+def encode_items(items: Iterable[Any]) -> "List[Any] | np.ndarray":
     """:func:`encode_item` over a label column.
 
-    A numeric numpy column lowers in one ``tolist()`` pass, which yields
-    exactly the Python scalars :func:`encode_item` would, so the wire
-    line is byte-identical; any other iterable goes label by label.
+    A numeric numpy column stays an array: :func:`encode_line` sends it
+    as a column frame, or lowers it in one ``tolist()`` pass, which
+    yields exactly the Python scalars :func:`encode_item` would, so the
+    JSON line is byte-identical.  Any other iterable goes label by label.
     """
     if _numeric_column(items):
-        return items.tolist()
+        return items
     return [encode_item(item) for item in items]
 
 
-def encode_reals(values: Optional[Iterable[Any]]) -> Optional[List[float]]:
-    """A weight or timestamp column as Python floats (``None`` passes)."""
+def encode_reals(
+    values: Optional[Iterable[Any]],
+) -> "Optional[List[float] | np.ndarray]":
+    """A weight or timestamp column as floats (``None`` passes).
+
+    A numeric numpy column becomes a float64 array, which
+    :func:`encode_line` sends or lowers as :func:`encode_items` does;
+    any other iterable becomes a list of Python floats.
+    """
     if values is None:
         return None
     if _numeric_column(values):
-        return values.astype(np.float64, copy=False).tolist()
+        return values.astype(np.float64, copy=False)
     return [float(value) for value in values]
 
 
@@ -368,21 +376,6 @@ _ENCODERS: Dict[str, Callable[[Any], Any]] = {
 }
 
 
-def _real_array(values: Iterable[Any]) -> np.ndarray:
-    if isinstance(values, np.ndarray):
-        return values.astype(np.float64, copy=False)
-    return np.fromiter(values, dtype=np.float64)
-
-
-#: The encoders of a batch sent as a column frame: the label array stays
-#: as it is, and its real columns become float64 arrays.
-_FRAME_ENCODERS: Dict[str, Callable[[Any], Any]] = {
-    **_ENCODERS,
-    "items": lambda items: items,
-    "weights": _real_array,
-    "timestamps": _real_array,
-}
-
 #: Field name -> its checking wire-to-Python decoder ``(field, value)``;
 #: a single label or real is checked as a column of one.
 _DECODERS: Dict[str, Callable[[str, Any], Any]] = {
@@ -398,27 +391,19 @@ _DECODERS: Dict[str, Callable[[str, Any], Any]] = {
 }
 
 
-def encode_fields(fields: Dict[str, Any], *, columns: bool = False) -> Dict[str, Any]:
+def encode_fields(fields: Dict[str, Any]) -> Dict[str, Any]:
     """An op's fields (or result payload) as wire values, by field name.
 
-    Labels become wire labels, columns become lists, ``frame`` bytes
-    become base64 and ``pairs`` a pair list; ``None`` and every other
-    field pass unchanged, in order.  A callable ``candidates`` predicate
-    raises :class:`InvalidParameterError`: it cannot be sent.
-
-    With ``columns=True`` (the peer reads column frames) a numeric label
-    array stays an array and its weights and timestamps become float64
-    arrays, for :func:`encode_line` to send as a frame.
+    Labels become wire labels and columns lists, or numeric arrays left
+    for :func:`encode_line` to send or lower; ``frame`` bytes become
+    base64 and ``pairs`` a pair list; ``None`` and every other field pass
+    unchanged, in order.  A callable ``candidates`` predicate raises
+    :class:`InvalidParameterError`: it cannot be sent.
     """
-    encoders = (
-        _FRAME_ENCODERS
-        if columns and _numeric_column(fields.get("items"), "biu")
-        else _ENCODERS
-    )
     return {
         key: value
-        if value is None or key not in encoders
-        else encoders[key](value)
+        if value is None or key not in _ENCODERS
+        else _ENCODERS[key](value)
         for key, value in fields.items()
     }
 

@@ -135,19 +135,20 @@ class TestEncoding:
             {"op": "subset_sum", "candidates": items}, columns=True
         )
 
-    def test_fields_keep_arrays_only_for_a_frame(self):
+    def test_fields_leave_numeric_arrays_to_the_line(self):
         items = np.arange(3, dtype=np.uint8)
-        fields = protocol.encode_fields(
-            {"items": items, "weights": [1, 2, 3]}, columns=True
-        )
+        fields = protocol.encode_fields({"items": items, "weights": np.arange(1, 4)})
         assert fields["items"] is items
         assert fields["weights"].dtype == np.float64
-        assert protocol.encode_fields({"items": items, "weights": [1, 2, 3]}) == {
-            "items": [0, 1, 2],
-            "weights": [1.0, 2.0, 3.0],
-        }
-        assert protocol.encode_fields({"items": ["a"]}, columns=True) == {
-            "items": ["a"]
+        # Lowered to JSON, the arrays are the line of the equivalent lists.
+        assert protocol.encode_line({"op": "update_batch", **fields}) == (
+            protocol.encode_line(
+                {"op": "update_batch", "items": [0, 1, 2], "weights": [1.0, 2.0, 3.0]}
+            )
+        )
+        assert protocol.encode_fields({"items": ["a"], "weights": [1, 2]}) == {
+            "items": ["a"],
+            "weights": [1.0, 2.0],
         }
 
 

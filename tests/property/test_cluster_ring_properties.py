@@ -166,29 +166,36 @@ def test_scatter_over_arrays_matches_per_row_placement(column, shards, seed, col
     slices = scatter_batch(column, weights, timestamps, shards, seed=seed)
     assert len(slices) == shards
     expected = [stable_shard(label, shards, seed=seed) for label in column.tolist()]
-    bits = f"u{column.dtype.itemsize}"
     for shard, (items, shard_weights, shard_ts) in enumerate(slices):
         owned = [index for index, owner in enumerate(expected) if owner == shard]
-        assert isinstance(items, np.ndarray) and items.dtype == column.dtype
-        # Bit patterns, so -0.0 is not taken for 0.0 nor NaN lost.
-        assert items.view(bits).tolist() == column[owned].view(bits).tolist()
+        if column.dtype.kind == "f":
+            # Split as its tolist() values; reprs keep -0.0 apart from 0.0.
+            assert list(map(repr, items)) == list(map(repr, column[owned].tolist()))
+        else:
+            assert isinstance(items, np.ndarray) and items.dtype == column.dtype
+            assert items.tolist() == column[owned].tolist()
         if columns:
-            assert shard_weights.tolist() == weights[owned].tolist()
-            assert shard_ts.tolist() == [timestamps[index] for index in owned]
+            assert np.asarray(shard_weights).tolist() == weights[owned].tolist()
+            assert list(shard_ts) == [timestamps[index] for index in owned]
         else:
             assert shard_weights is None and shard_ts is None
 
 
-def test_placement_cache_is_bounded_and_keeps_twins_apart():
-    from repro.cluster.shard_session import PlacementCache
+def test_placement_memo_is_bounded_and_keeps_twins_apart(monkeypatch):
+    from repro.cluster import shard_session
 
-    cache = PlacementCache(limit=8)
+    monkeypatch.setattr(shard_session, "_PLACEMENT_LIMIT", 8)
+
+    def held():
+        return sum(map(len, shard_session._placements.values()))
+
     labels = [1, 1.0, True, 0.0, -0.0, 0, False, "1", (1,)]
     for seed in (0, 7):
-        placed = cache.shards(labels, 5, seed)
+        placed = shard_session._place(labels, 5, seed)
         assert placed == [stable_shard(label, 5, seed=seed) for label in labels]
-        assert len(cache) <= 8
+        assert held() <= 8
     for start in range(0, 100, 10):
         batch = list(range(start, start + 10))
-        assert cache.shards(batch, 3, 1) == [stable_shard(v, 3, seed=1) for v in batch]
-        assert len(cache) <= 8
+        placed = shard_session._place(batch, 3, 1, keys=batch)
+        assert placed == [stable_shard(v, 3, seed=1) for v in batch]
+        assert held() <= 8
