@@ -167,13 +167,20 @@ def capabilities(obj: Any) -> FrozenSet[str]:
 
 
 def supports(obj: Any, capability: str) -> bool:
-    """Whether ``obj`` provides the named capability."""
+    """Whether ``obj`` provides the named capability.
+
+    Checks only that capability's protocol, then the ``__capabilities__``
+    hook, so a query gate costs one structural check, not five.
+    """
     if capability not in CAPABILITY_PROTOCOLS:
         raise CapabilityError(
             f"unknown capability {capability!r}; "
             f"known capabilities: {sorted(CAPABILITY_PROTOCOLS)}"
         )
-    return capability in capabilities(obj)
+    if not isinstance(obj, CAPABILITY_PROTOCOLS[capability]):
+        return False
+    refine = getattr(obj, "__capabilities__", None)
+    return not callable(refine) or capability in refine()
 
 
 def require_capability(obj: Any, capability: str, *, operation: str = "") -> None:

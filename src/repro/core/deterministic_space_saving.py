@@ -15,26 +15,21 @@ figures 7 and 10).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
-
-import numpy as np
+from typing import Dict, List, Tuple
 
 from repro._typing import Item
-from repro.core.base import FrequentItemSketch
-from repro.core.batching import collapse_batch, collapse_batch_arrays
-from repro.core.columnar import ColumnarCounterStore
-from repro.errors import InvalidParameterError, UnsupportedUpdateError
-from repro.io.codec import rng_state_from_jsonable, rng_state_to_jsonable
-from repro.io.serializable import SerializableSketch
+from repro.core.unbiased_space_saving import SpaceSaving
+from repro.errors import InvalidParameterError
 
 __all__ = ["DeterministicSpaceSaving"]
 
 
-class DeterministicSpaceSaving(FrequentItemSketch, SerializableSketch):
+class DeterministicSpaceSaving(SpaceSaving):
     """The original Space Saving sketch (``p = 1`` label replacement).
 
-    The counters live in the float-native columnar store of
-    :mod:`repro.core.columnar`, so real-valued weights need no opt-in.
+    The :class:`~repro.core.unbiased_space_saving.SpaceSaving` core with
+    the always-replace contest rule and per-bin acquisition errors; the
+    counters are float-native, so real-valued weights need no opt-in.
 
     Parameters
     ----------
@@ -61,69 +56,8 @@ class DeterministicSpaceSaving(FrequentItemSketch, SerializableSketch):
     2.0
     """
 
-    def __init__(
-        self,
-        capacity: int,
-        *,
-        seed: Optional[int] = None,
-    ) -> None:
-        super().__init__(capacity, seed=seed)
-        self._store = ColumnarCounterStore(
-            self._capacity,
-            generator=np.random.Generator(np.random.PCG64(seed)),
-            track_errors=True,
-        )
-
-    # ------------------------------------------------------------------
-    # Ingestion
-    # ------------------------------------------------------------------
-    def update(self, item: Item, weight: float = 1.0) -> None:
-        """Process one raw row; ``weight`` must be positive and finite."""
-        if weight <= 0 or not np.isfinite(weight):
-            raise UnsupportedUpdateError(
-                "Deterministic Space Saving requires positive weights (finite)"
-            )
-        self._record_update(weight)
-        self._store.apply_one(item, float(weight), always_replace=True)
-
-    def update_batch(
-        self,
-        items: Iterable[Item],
-        weights: Optional[Iterable[float]] = None,
-    ) -> "DeterministicSpaceSaving":
-        """Batched ingestion: collapse duplicates, then apply weighted updates.
-
-        The collapsed pairs are applied in the kernel's phased order (see
-        :mod:`repro.core.columnar`); the deterministic over-count bound is
-        unaffected.  ``rows_processed`` counts raw rows.
-        """
-        if isinstance(items, np.ndarray) and items.dtype != object:
-            unique, collapsed, row_count, total = collapse_batch_arrays(items, weights)
-        else:
-            unique, collapsed, row_count, total = collapse_batch(items, weights)
-        if len(unique) == 0:
-            return self
-        collapsed = np.ascontiguousarray(collapsed, dtype=np.float64)
-        # See the unbiased sketch: NaN passes a min() <= 0 test and +inf
-        # collides with the free-slot sentinel.
-        if not np.isfinite(collapsed).all() or collapsed.min() <= 0:
-            raise UnsupportedUpdateError(
-                "Deterministic Space Saving requires positive weights (finite)"
-            )
-        self._store.apply_batch(unique, collapsed, always_replace=True)
-        self._rows_processed += row_count
-        self._total_weight += total
-        return self
-
-    # ------------------------------------------------------------------
-    # Queries
-    # ------------------------------------------------------------------
-    def estimate(self, item: Item) -> float:
-        """Estimated count; an upper bound on the true count of ``item``."""
-        return self._store.get(item, 0.0)
-
-    def estimates(self) -> Dict[Item, float]:
-        return self._store.counts()
+    always_replace = True
+    track_errors = True
 
     def acquisition_error(self, item: Item) -> float:
         """The ``ε_i`` over-count bound for a retained item (0 if absent)."""
@@ -139,9 +73,7 @@ class DeterministicSpaceSaving(FrequentItemSketch, SerializableSketch):
         Every counter overestimates its item's true count by at most the
         current minimum counter, which itself is at most ``n_tot / m``.
         """
-        if len(self._store) < self._capacity or len(self._store) == 0:
-            return 0.0
-        return self._store.min_count()
+        return self.min_count
 
     def guaranteed_heavy_hitters(self, phi: float) -> Dict[Item, float]:
         """Items that are *provably* above the ``phi`` relative frequency.
@@ -169,9 +101,7 @@ class DeterministicSpaceSaving(FrequentItemSketch, SerializableSketch):
         thresholded by the minimum counter:
         ``N̂_i^MG = (N̂_i − N̂_min)_+``.
         """
-        if len(self._store) == 0:
-            return {}
-        min_count = self._store.min_count() if len(self._store) >= self._capacity else 0.0
+        min_count = self.min_count
         return {
             item: max(0.0, count - min_count)
             for item, count in self.estimates().items()
@@ -183,28 +113,3 @@ class DeterministicSpaceSaving(FrequentItemSketch, SerializableSketch):
             (item, count, self.acquisition_error(item))
             for item, count in self._store.items()
         ]
-
-    # ------------------------------------------------------------------
-    # Serialization (repro.io contract)
-    # ------------------------------------------------------------------
-    def _serial_state(self):
-        meta, arrays = self._store.frame()
-        meta.update({
-            "capacity": self._capacity,
-            # Readers of earlier versions select their store from these.
-            "store": "columnar",
-            "active_store": "columnar",
-            "rows_processed": self._rows_processed,
-            "total_weight": self._total_weight,
-            "rng_state": rng_state_to_jsonable(self._rng.getstate()),
-        })
-        return meta, arrays
-
-    @classmethod
-    def _from_serial_state(cls, meta, arrays):
-        sketch = cls(int(meta["capacity"]))
-        sketch._store.load_frame(meta, arrays)
-        sketch._rows_processed = int(meta["rows_processed"])
-        sketch._total_weight = float(meta["total_weight"])
-        sketch._rng.setstate(rng_state_from_jsonable(meta["rng_state"]))
-        return sketch

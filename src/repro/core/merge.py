@@ -85,12 +85,8 @@ def reduce_bins_unbiased(
     if method == "poisson":
         sample = poisson_pps_sample(positive, capacity, rng=rng)
         return _sample_to_bins(sample)
-    if method == "priority":
-        sample = PrioritySample(positive, capacity, rng=rng).as_weighted_sample()
-        return _sample_to_bins(sample)
-    raise InvalidParameterError(
-        f"unknown method {method!r}; expected 'pps', 'poisson' or 'priority'"
-    )
+    sample = PrioritySample(positive, capacity, rng=rng).as_weighted_sample()
+    return _sample_to_bins(sample)
 
 
 def _sample_to_bins(sample: WeightedSample) -> Dict[Item, float]:
@@ -108,32 +104,15 @@ def merge_unbiased(
 ) -> UnbiasedSpaceSaving:
     """Merge two Unbiased Space Saving sketches into a new unbiased sketch.
 
-    The merged sketch's expected estimate for every item equals the sum of
-    the two input sketches' expected estimates, so it remains unbiased for
-    all disaggregated subset sums over the combined data (Theorem 2).
-
-    Parameters
-    ----------
-    first, second:
-        The sketches to merge; they need not have equal capacities.
-    capacity:
-        Capacity of the merged sketch (defaults to ``first.capacity``).
-    method:
-        Reduction used to shrink the combined bins; see
-        :func:`reduce_bins_unbiased`.
-    seed:
-        Seed for the reduction's randomness.
+    The two-sketch case of :func:`merge_many_unbiased`: the merged
+    sketch's expected estimate for every item equals the sum of the two
+    input sketches' expected estimates, so it remains unbiased for all
+    disaggregated subset sums over the combined data (Theorem 2).  The
+    inputs need not have equal capacities; ``capacity`` defaults to
+    ``first.capacity``.
     """
-    capacity = capacity or first.capacity
-    rng = random.Random(seed)
-    combined = combine_estimates([first, second])
-    reduced = reduce_bins_unbiased(combined, capacity, method=method, rng=rng)
-    return UnbiasedSpaceSaving.from_bins(
-        capacity,
-        reduced,
-        rows_processed=first.rows_processed + second.rows_processed,
-        total_weight=first.total_weight + second.total_weight,
-        seed=seed,
+    return merge_many_unbiased(
+        [first, second], capacity=capacity, method=method, seed=seed
     )
 
 
@@ -146,14 +125,31 @@ def merge_many_unbiased(
 ) -> UnbiasedSpaceSaving:
     """Merge any number of Unbiased Space Saving sketches in one reduction.
 
-    Reducing the union once (rather than pairwise) adds the least possible
-    sampling noise and is what a map-reduce reducer would do with the
-    sketches produced by its mappers.
+    The §5.5 path: combine the bins, reduce them to ``capacity`` with an
+    unbiased reduction, and rebuild a live sketch with
+    :meth:`UnbiasedSpaceSaving.from_bins`.  Reducing the union once
+    (rather than pairwise) adds the least possible sampling noise and is
+    what a map-reduce reducer would do with the sketches produced by its
+    mappers.
+
+    Parameters
+    ----------
+    sketches:
+        The sketches to merge; they need not have equal capacities.  A
+        single sketch is shrunk to ``capacity`` (tier demotion).
+    capacity:
+        Capacity of the merged sketch (defaults to the first sketch's).
+    method:
+        Reduction used to shrink the combined bins; see
+        :func:`reduce_bins_unbiased`.
+    seed:
+        Seed for the reduction's randomness and the merged sketch's.
     """
     sketch_list = list(sketches)
     if not sketch_list:
         raise InvalidParameterError("merge_many_unbiased requires at least one sketch")
-    capacity = capacity or sketch_list[0].capacity
+    if capacity is None:
+        capacity = sketch_list[0].capacity
     rng = random.Random(seed)
     combined = combine_estimates(sketch_list)
     reduced = reduce_bins_unbiased(combined, capacity, method=method, rng=rng)
@@ -180,7 +176,8 @@ def merge_misra_gries(
     of merged (biased) estimates; figure 1's comparison of merge behaviours
     is generated from this and :func:`reduce_bins_unbiased`.
     """
-    capacity = capacity or first.capacity
+    if capacity is None:
+        capacity = first.capacity
     if capacity < 1:
         raise IncompatibleSketchError("merged capacity must be at least 1")
     combined = combine_estimates([first, second])

@@ -28,7 +28,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 import numpy as np
 
 from repro._typing import Item, ItemPredicate
-from repro.core.base import SubsetSumSketch
+from repro.core.base import FrequentItemSketch, SubsetSumSketch
 from repro.core.batching import collapse_batch, collapse_batch_arrays
 from repro.core.columnar import ColumnarCounterStore
 from repro.core.variance import EstimateWithError, subset_variance_estimate
@@ -36,15 +36,167 @@ from repro.errors import InvalidParameterError, UnsupportedUpdateError
 from repro.io.codec import rng_state_from_jsonable, rng_state_to_jsonable
 from repro.io.serializable import SerializableSketch
 
-__all__ = ["UnbiasedSpaceSaving"]
+__all__ = ["SpaceSaving", "UnbiasedSpaceSaving"]
 
 
-class UnbiasedSpaceSaving(SubsetSumSketch, SerializableSketch):
+class SpaceSaving(FrequentItemSketch, SerializableSketch):
+    """The Space Saving core shared by the unbiased and deterministic sketches.
+
+    Holds ``m`` labeled counters in the float-native columnar store of
+    :mod:`repro.core.columnar`, whose priority discipline breaks ties among
+    minimum bins uniformly at random.  An arriving item that labels a bin
+    increments it; any other item increments a minimum bin and takes over
+    its label under the contest rule :attr:`always_replace` — always for
+    Deterministic Space Saving, with probability ``w / (N̂_min + w)`` for
+    Unbiased Space Saving (Algorithm 1).  That rule and
+    :attr:`track_errors` are the only differences between the two.
+
+    Parameters
+    ----------
+    capacity:
+        Number of bins ``m``.
+    seed:
+        Seed for the generator behind label contests and tie-breaks.
+        Fixing the seed makes a run fully reproducible.
+    """
+
+    #: Whether a newcomer always takes over the minimum bin's label.
+    always_replace = False
+    #: Whether the store keeps per-bin acquisition errors.
+    track_errors = False
+
+    def __init__(self, capacity: int, *, seed: Optional[int] = None) -> None:
+        super().__init__(capacity, seed=seed)
+        self._store = ColumnarCounterStore(
+            self._capacity,
+            generator=np.random.Generator(np.random.PCG64(seed)),
+            track_errors=self.track_errors,
+        )
+        #: label replacements performed (framed by the unbiased sketch only)
+        self._label_replacements = 0
+
+    def _weight_error(self) -> UnsupportedUpdateError:
+        return UnsupportedUpdateError(
+            f"{type(self).__name__} requires positive weights (finite); "
+            "see repro.core.weighted for signed updates"
+        )
+
+    # ------------------------------------------------------------------
+    # Ingestion
+    # ------------------------------------------------------------------
+    def update(self, item: Item, weight: float = 1.0) -> None:
+        """Process one raw row for ``item``; ``weight`` must be positive.
+
+        Positive real-valued weights follow the randomized pairwise PPS
+        reduction of §5.3: the minimum bin is incremented by ``weight``
+        and, under the unbiased rule, relabeled with probability
+        ``weight / (N̂_min + weight)``, which preserves unbiasedness.
+        """
+        if weight <= 0 or not np.isfinite(weight):
+            raise self._weight_error()
+        self._record_update(weight)
+        self._label_replacements += self._store.apply_one(
+            item, float(weight), always_replace=self.always_replace
+        )
+
+    def update_batch(
+        self,
+        items: Iterable[Item],
+        weights: Optional[Iterable[float]] = None,
+    ) -> "SpaceSaving":
+        """Batched ingestion: collapse duplicates, then apply weighted updates.
+
+        The collapsed ``(item, summed weight)`` pairs are applied in the
+        kernel's phased order (present scatter-add, inserts, then
+        min-replacement contests — see :mod:`repro.core.columnar`), which
+        preserves unbiasedness and the deterministic over-count bound but
+        is not draw-for-draw identical to a per-row :meth:`update` loop.
+        Collapsing preserves unbiasedness because a weighted update *is*
+        the §5.3 pairwise PPS reduction of the collapsed rows.
+        ``rows_processed`` still counts raw rows.
+        """
+        if isinstance(items, np.ndarray) and items.dtype != object:
+            unique, collapsed, row_count, total = collapse_batch_arrays(items, weights)
+        else:
+            unique, collapsed, row_count, total = collapse_batch(items, weights)
+        return self._ingest_collapsed(unique, collapsed, row_count, total)
+
+    def _ingest_collapsed(
+        self,
+        unique,
+        collapsed,
+        row_count: int,
+        total: float,
+    ) -> "SpaceSaving":
+        """Apply an already-collapsed batch (one weighted pair per item).
+
+        Backs :meth:`update_batch` and the sharded executor, which collapses
+        globally before routing and must not pay a second collapse per shard.
+        ``unique`` / ``collapsed`` are aligned lists or numpy arrays.
+        """
+        if len(unique) == 0:
+            return self
+        collapsed = np.ascontiguousarray(collapsed, dtype=np.float64)
+        # min() <= 0 alone would let NaN through (NaN comparisons are all
+        # false), and +inf would collide with the store's free-slot
+        # sentinel — require finite positive weights explicitly.
+        if not np.isfinite(collapsed).all() or collapsed.min() <= 0:
+            raise self._weight_error()
+        self._label_replacements += self._store.apply_batch(
+            unique, collapsed, always_replace=self.always_replace
+        )
+        self._rows_processed += row_count
+        self._total_weight += total
+        return self
+
+    # ------------------------------------------------------------------
+    # Point queries
+    # ------------------------------------------------------------------
+    def estimate(self, item: Item) -> float:
+        """Estimated total weight of ``item`` (0 when absent)."""
+        return self._store.get(item, 0.0)
+
+    def estimates(self) -> Dict[Item, float]:
+        return self._store.counts()
+
+    @property
+    def min_count(self) -> float:
+        """The minimum bin count ``N̂_min`` (0 while the sketch is not full)."""
+        if len(self._store) < self._capacity or len(self._store) == 0:
+            return 0.0
+        return self._store.min_count()
+
+    # ------------------------------------------------------------------
+    # Serialization (repro.io contract)
+    # ------------------------------------------------------------------
+    def _serial_state(self):
+        meta, arrays = self._store.frame()
+        meta.update({
+            "capacity": self._capacity,
+            # Readers of earlier versions select their store from these.
+            "store": "columnar",
+            "active_store": "columnar",
+            "rows_processed": self._rows_processed,
+            "total_weight": self._total_weight,
+            "rng_state": rng_state_to_jsonable(self._rng.getstate()),
+        })
+        return meta, arrays
+
+    @classmethod
+    def _from_serial_state(cls, meta, arrays):
+        sketch = cls(int(meta["capacity"]))
+        sketch._store.load_frame(meta, arrays)
+        sketch._rows_processed = int(meta["rows_processed"])
+        sketch._total_weight = float(meta["total_weight"])
+        sketch._rng.setstate(rng_state_from_jsonable(meta["rng_state"]))
+        return sketch
+
+
+class UnbiasedSpaceSaving(SpaceSaving, SubsetSumSketch):
     """Unbiased Space Saving sketch (Algorithm 1 with ``p = 1/(N̂_min + 1)``).
 
-    The counters live in the float-native columnar store of
-    :mod:`repro.core.columnar`, whose priority discipline breaks ties
-    among minimum bins uniformly at random.
+    The :class:`SpaceSaving` core with the randomized contest rule, plus
+    the §6.4/6.5 variance and confidence intervals and the §5.5 merge.
 
     Parameters
     ----------
@@ -64,20 +216,6 @@ class UnbiasedSpaceSaving(SubsetSumSketch, SerializableSketch):
     >>> round(sum(sketch.estimates().values()), 6)
     5.0
     """
-
-    def __init__(
-        self,
-        capacity: int,
-        *,
-        seed: Optional[int] = None,
-    ) -> None:
-        super().__init__(capacity, seed=seed)
-        self._store = ColumnarCounterStore(
-            self._capacity,
-            generator=np.random.Generator(np.random.PCG64(seed)),
-        )
-        #: number of label replacements performed (useful for diagnostics)
-        self._label_replacements = 0
 
     # ------------------------------------------------------------------
     # Alternative constructors
@@ -122,94 +260,6 @@ class UnbiasedSpaceSaving(SubsetSumSketch, SerializableSketch):
             total_weight = float(sum(bins.values()))
         sketch._total_weight = float(total_weight)
         return sketch
-
-    # ------------------------------------------------------------------
-    # Ingestion
-    # ------------------------------------------------------------------
-    def update(self, item: Item, weight: float = 1.0) -> None:
-        """Process one raw row for ``item``.
-
-        Unit-weight rows are the common case (one click, one packet, one
-        impression).  Positive real-valued weights are supported via the
-        randomized pairwise PPS reduction described in §5.3: the minimum bin
-        is incremented by ``weight`` and relabeled with probability
-        ``weight / (N̂_min + weight)``, which preserves unbiasedness.
-        """
-        if weight <= 0 or not np.isfinite(weight):
-            raise UnsupportedUpdateError(
-                "Unbiased Space Saving requires positive weights (finite); "
-                "see repro.core.weighted for signed updates"
-            )
-        self._record_update(weight)
-        self._label_replacements += self._store.apply_one(item, float(weight))
-
-    def update_batch(
-        self,
-        items: Iterable[Item],
-        weights: Optional[Iterable[float]] = None,
-    ) -> "UnbiasedSpaceSaving":
-        """Batched ingestion: collapse duplicates, then apply weighted updates.
-
-        The collapsed ``(item, summed weight)`` pairs are applied in the
-        kernel's phased order (present scatter-add, inserts, then
-        min-replacement contests — see :mod:`repro.core.columnar`), which
-        preserves every unbiasedness guarantee but is not draw-for-draw
-        identical to a per-row :meth:`update` loop.  Collapsing preserves
-        unbiasedness because a weighted update *is* the §5.3 pairwise PPS
-        reduction of the collapsed rows.  ``rows_processed`` still counts
-        raw rows.
-        """
-        if isinstance(items, np.ndarray) and items.dtype != object:
-            unique, collapsed, row_count, total = collapse_batch_arrays(items, weights)
-        else:
-            unique, collapsed, row_count, total = collapse_batch(items, weights)
-        return self._ingest_collapsed(unique, collapsed, row_count, total)
-
-    def _ingest_collapsed(
-        self,
-        unique,
-        collapsed,
-        row_count: int,
-        total: float,
-    ) -> "UnbiasedSpaceSaving":
-        """Apply an already-collapsed batch (one weighted pair per item).
-
-        Backs :meth:`update_batch` and the sharded executor, which collapses
-        globally before routing and must not pay a second collapse per shard.
-        ``unique`` / ``collapsed`` are aligned lists or numpy arrays.
-        """
-        if len(unique) == 0:
-            return self
-        collapsed = np.ascontiguousarray(collapsed, dtype=np.float64)
-        # min() <= 0 alone would let NaN through (NaN comparisons are all
-        # false), and +inf would collide with the store's free-slot
-        # sentinel — require finite positive weights explicitly.
-        if not np.isfinite(collapsed).all() or collapsed.min() <= 0:
-            raise UnsupportedUpdateError(
-                "Unbiased Space Saving requires positive weights (finite); "
-                "see repro.core.weighted for signed updates"
-            )
-        self._label_replacements += self._store.apply_batch(unique, collapsed)
-        self._rows_processed += row_count
-        self._total_weight += total
-        return self
-
-    # ------------------------------------------------------------------
-    # Point queries
-    # ------------------------------------------------------------------
-    def estimate(self, item: Item) -> float:
-        """Unbiased estimate of the total weight of ``item`` (0 when absent)."""
-        return self._store.get(item, 0.0)
-
-    def estimates(self) -> Dict[Item, float]:
-        return self._store.counts()
-
-    @property
-    def min_count(self) -> float:
-        """The minimum bin count ``N̂_min`` (0 while the sketch is not full)."""
-        if len(self._store) < self._capacity or len(self._store) == 0:
-            return 0.0
-        return self._store.min_count()
 
     @property
     def label_replacements(self) -> int:
@@ -268,35 +318,26 @@ class UnbiasedSpaceSaving(SubsetSumSketch, SerializableSketch):
         Neither input is mutated; the merged sketch remains unbiased for
         all subset sums over the combined data (Theorem 2).
         """
-        from repro.core.merge import merge_unbiased
+        from repro.core.merge import merge_many_unbiased
 
-        return merge_unbiased(self, other, capacity=capacity, method=method, seed=seed)
+        return merge_many_unbiased(
+            [self, other], capacity=capacity, method=method, seed=seed
+        )
 
     # ------------------------------------------------------------------
-    # Serialization (repro.io contract)
+    # Serialization: the core frame plus the replacement counter
     # ------------------------------------------------------------------
     def _serial_state(self):
-        meta, arrays = self._store.frame()
-        meta.update({
-            "capacity": self._capacity,
-            # Readers of earlier versions select their store from these.
-            "store": "columnar",
-            "active_store": "columnar",
-            "rows_processed": self._rows_processed,
-            "total_weight": self._total_weight,
-            "label_replacements": self._label_replacements,
-            "rng_state": rng_state_to_jsonable(self._rng.getstate()),
-        })
+        meta, arrays = super()._serial_state()
+        meta["label_replacements"] = self._label_replacements
+        # Keep the key order, and so the bytes, of earlier frames.
+        meta["rng_state"] = meta.pop("rng_state")
         return meta, arrays
 
     @classmethod
     def _from_serial_state(cls, meta, arrays):
-        sketch = cls(int(meta["capacity"]))
-        sketch._store.load_frame(meta, arrays)
-        sketch._rows_processed = int(meta["rows_processed"])
-        sketch._total_weight = float(meta["total_weight"])
+        sketch = super()._from_serial_state(meta, arrays)
         sketch._label_replacements = int(meta["label_replacements"])
-        sketch._rng.setstate(rng_state_from_jsonable(meta["rng_state"]))
         return sketch
 
     # ------------------------------------------------------------------

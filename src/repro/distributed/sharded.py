@@ -288,7 +288,7 @@ class ShardedSketch(SerializableSketch):
         between updates reuse the same merge; pass ``seed`` to override the
         reduction seed (which also bypasses the cache).
         """
-        target = capacity or self._capacity
+        target = self._capacity if capacity is None else capacity
         if seed is None and self._merged_cache is not None:
             version, cached_capacity, cached = self._merged_cache
             if version == self._version and cached_capacity == target:

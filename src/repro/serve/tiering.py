@@ -1,11 +1,10 @@
 """Adaptive accuracy tiering: eviction as demotion, not loss.
 
 The paper's §5.5 capacity reduction makes a sketch *shrinkable without
-discarding its stream*: ``reduce_bins_unbiased`` resamples a bin map
-down to ``m`` entries while preserving every expected count, so a
-smaller sketch built from the reduced bins keeps answering subset sums
-unbiasedly — just with more variance.  This module turns the registry's
-LRU/TTL eviction into a tier transition built on that theorem:
+discarding its stream*: ``merge_many_unbiased`` resamples a bin map
+down to ``m`` entries while preserving every expected count, so the
+smaller sketch it rebuilds keeps answering subset sums unbiasedly —
+just with more variance.  This module turns the registry's LRU/TTL eviction into a tier transition built on that theorem:
 
     hot (full capacity, in memory)
       │ evicted idle
@@ -33,11 +32,10 @@ import zlib
 from dataclasses import dataclass
 from math import ceil, sqrt
 from pathlib import Path
-from random import Random
 from typing import Any, Dict, Optional, Tuple
 
 from repro.api.session import StreamSession
-from repro.core.merge import reduce_bins_unbiased
+from repro.core.merge import merge_many_unbiased
 from repro.core.unbiased_space_saving import UnbiasedSpaceSaving
 from repro.errors import InvalidParameterError
 from repro.io.checkpoint import load_checkpoint, save_checkpoint
@@ -143,12 +141,10 @@ def demote_session(
     ``None`` when no demotion applied — the session was already small
     enough, is windowed (collapsing panes would destroy the window
     semantics the key was created with), or has no §5.5 reduction.
-    Sharded ensembles demote through their ``merged()``
-    reduction; inline Unbiased Space Saving goes through
-    :func:`~repro.core.merge.reduce_bins_unbiased` +
-    :meth:`~repro.core.unbiased_space_saving.UnbiasedSpaceSaving.from_bins`
-    directly.  Either way the demoted sketch's expected estimates equal
-    the original's (Theorem 2), so spilling is lossless in expectation.
+    Sharded ensembles demote through their ``merged()`` reduction;
+    inline Unbiased Space Saving goes through
+    :func:`~repro.core.merge.merge_many_unbiased` directly.  Either way
+    the demoted sketch's expected estimates equal the original's (Theorem 2), so spilling is lossless in expectation.
     """
     if capacity < 1:
         raise InvalidParameterError(f"capacity must be >= 1, got {capacity}")
@@ -165,16 +161,7 @@ def demote_session(
     if callable(merged):
         reduced = merged(capacity, seed=seed)
     elif isinstance(estimator, UnbiasedSpaceSaving):
-        bins = reduce_bins_unbiased(
-            estimator.estimates(), capacity, rng=Random(seed)
-        )
-        reduced = UnbiasedSpaceSaving.from_bins(
-            capacity,
-            bins,
-            rows_processed=estimator.rows_processed,
-            total_weight=estimator.total_weight,
-            seed=seed,
-        )
+        reduced = merge_many_unbiased([estimator], capacity=capacity, seed=seed)
     else:
         return session, None
     demoted = StreamSession(

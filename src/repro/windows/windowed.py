@@ -443,24 +443,14 @@ class _PaneRingSketch(SerializableSketch):
         if cached is not None and cached[0] == self._version:
             return cached[1]
         panes = [pane for _, pane in self.window_panes(scope)]
-        if not panes:
-            view = _WindowView(bins={}, total_weight=0.0, panes=())
-        else:
-            if all(isinstance(pane, UnbiasedSpaceSaving) for pane in panes):
-                # Window merge = sketch merge (Theorem 2).  The view keeps
-                # every combined bin (capacity = union size), so no
-                # reduction noise is added at query time; merged() applies
-                # the real capacity-m reduction for hand-off.
-                union = max(1, sum(len(pane.estimates()) for pane in panes))
-                merged = merge_many_unbiased(panes, capacity=union, seed=self._seed)
-                bins = merged.estimates()
-            else:
-                bins = combine_estimates(panes)
-            view = _WindowView(
-                bins=bins,
-                total_weight=float(sum(pane.total_weight for pane in panes)),
-                panes=tuple(panes),
-            )
+        # The view keeps every combined bin, so no reduction noise is
+        # added at query time; merged() applies the real capacity-m
+        # reduction (Theorem 2) for hand-off.
+        view = _WindowView(
+            bins=combine_estimates(panes),
+            total_weight=float(sum(pane.total_weight for pane in panes)),
+            panes=tuple(panes),
+        )
         self._view_cache[scope] = (self._version, view)
         return view
 

@@ -156,6 +156,18 @@ def test_supports_and_require():
         require_capability(CountSketch(width=8, depth=2), POINT, operation="estimates")
 
 
+@pytest.mark.parametrize("capability", sorted(CAPABILITY_PROTOCOLS))
+@pytest.mark.parametrize(
+    "name", [spec.name for spec in iter_specs()] + ["untracked_countmin"]
+)
+def test_supports_agrees_with_capabilities(name, capability):
+    if name == "untracked_countmin":
+        obj = CountMinSketch(width=16, depth=2)
+    else:
+        obj = built(name).estimator
+    assert supports(obj, capability) == (capability in capabilities(obj))
+
+
 # ----------------------------------------------------------------------
 # CapabilityError surfaces
 # ----------------------------------------------------------------------

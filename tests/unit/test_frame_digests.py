@@ -1,0 +1,101 @@
+"""Golden digests of seeded Space Saving frames and derived answers.
+
+Every digest below was recorded once and must never move: a refactor of the
+Space Saving sketches, the §5.5 merge path, tier demotion or the windowed
+query view has to reproduce these bytes exactly.  A digest is the first 16
+hex digits of the sha256 of a sketch's ``to_bytes()`` frame, or of the
+``repr`` of a query answer (labels, values and iteration order).
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+import numpy as np
+import pytest
+
+import repro
+from repro.core.deterministic_space_saving import DeterministicSpaceSaving
+from repro.core.merge import merge_unbiased
+from repro.core.unbiased_space_saving import UnbiasedSpaceSaving
+from repro.serve.tiering import demote_session
+from repro.windows.windowed import SlidingWindowSketch
+
+
+def _digest(value) -> str:
+    data = value if isinstance(value, bytes) else repr(value).encode()
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+def _rows(seed: int, n: int = 4000, distinct: int = 400) -> np.ndarray:
+    """Zipf-like integer labels, reproducible from ``seed``."""
+    rng = np.random.default_rng(seed)
+    return (rng.zipf(1.3, size=n) % distinct).astype(np.int64)
+
+
+def _fill(sketch):
+    """Drive all three ingest paths: scalar, list batch, array batch."""
+    for label in _rows(1, n=300).tolist():
+        sketch.update(f"s{label}")
+    sketch.update("heavy", 2.5)
+    rows = _rows(2, n=2000)
+    sketch.update_batch([f"s{label}" for label in rows.tolist()])
+    weights = np.random.default_rng(3).uniform(0.5, 2.0, size=3000)
+    sketch.update_batch(_rows(4, n=3000), weights)
+    return sketch
+
+
+def _sketch_frame(kind: str) -> bytes:
+    cls = {"uss": UnbiasedSpaceSaving, "dss": DeterministicSpaceSaving}[kind]
+    return _fill(cls(64, seed=11)).to_bytes()
+
+
+def _merge_frame() -> bytes:
+    first = _fill(UnbiasedSpaceSaving(64, seed=11))
+    second = UnbiasedSpaceSaving(48, seed=12).update_batch(_rows(5))
+    return merge_unbiased(first, second, seed=5).to_bytes()
+
+
+def _demoted_frame() -> bytes:
+    session = repro.build("unbiased_space_saving", size=256, seed=7)
+    session.update_batch(_rows(6, n=6000, distinct=900))
+    demoted, capacity = demote_session(session, 64, seed=5)
+    assert capacity == 64
+    return demoted.estimator.to_bytes()
+
+
+def _window_answers(spec: str):
+    sketch = SlidingWindowSketch(32, horizon="40s", pane="10s", spec=spec, seed=3)
+    rows = _rows(7, n=5000, distinct=300)
+    timestamps = np.linspace(0.0, 49.9, rows.size)
+    sketch.update_batch(rows, timestamps=timestamps)
+    return (
+        list(sketch.estimates().items()),
+        sketch.subset_sum(lambda label: label % 3 == 0),
+        sketch.top_k(5),
+        sketch.estimates(last=2),
+    )
+
+
+CASES = {
+    "uss_frame": lambda: _sketch_frame("uss"),
+    "dss_frame": lambda: _sketch_frame("dss"),
+    "merge_unbiased_frame": _merge_frame,
+    "demoted_frame": _demoted_frame,
+    "window_uss_answers": lambda: _window_answers("unbiased_space_saving"),
+    "window_dss_answers": lambda: _window_answers("deterministic_space_saving"),
+}
+
+GOLDEN = {
+    "uss_frame": "001c9a3530694063",
+    "dss_frame": "ead77792fb550692",
+    "merge_unbiased_frame": "836817f620eb3123",
+    "demoted_frame": "c4e0cb0935ff9303",
+    "window_uss_answers": "e9360d465c861403",
+    "window_dss_answers": "67eb2cb9676d19c2",
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_golden_digest(case):
+    assert _digest(CASES[case]()) == GOLDEN[case]

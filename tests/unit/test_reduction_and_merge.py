@@ -22,7 +22,8 @@ from repro.core.reduction import (
     UnbiasedPairReduction,
 )
 from repro.core.unbiased_space_saving import UnbiasedSpaceSaving
-from repro.errors import InvalidParameterError
+from repro.distributed.sharded import ShardedSketch
+from repro.errors import IncompatibleSketchError, InvalidParameterError
 
 
 class TestReductionPolicies:
@@ -218,3 +219,45 @@ class TestMisraGriesMerge:
         second.extend(["a", "c"])
         merged = merge_misra_gries(first, second)
         assert merged == {"a": 2.0, "b": 1.0, "c": 1.0}
+
+
+def _small(cls, seed):
+    sketch = cls(4, seed=seed)
+    sketch.extend(["a", "b", "a"])
+    return sketch
+
+
+@pytest.mark.parametrize(
+    "merge, error",
+    [
+        (
+            lambda: merge_unbiased(
+                _small(UnbiasedSpaceSaving, 0), _small(UnbiasedSpaceSaving, 1), capacity=0
+            ),
+            InvalidParameterError,
+        ),
+        (
+            lambda: merge_many_unbiased(
+                [_small(UnbiasedSpaceSaving, 0), _small(UnbiasedSpaceSaving, 1)], capacity=0
+            ),
+            InvalidParameterError,
+        ),
+        (
+            lambda: merge_misra_gries(
+                _small(DeterministicSpaceSaving, 0),
+                _small(DeterministicSpaceSaving, 1),
+                capacity=0,
+            ),
+            IncompatibleSketchError,
+        ),
+        (
+            lambda: ShardedSketch(4, 2, seed=0).update_batch(["a", "b", "a"]).merged(0),
+            InvalidParameterError,
+        ),
+    ],
+    ids=["merge_unbiased", "merge_many_unbiased", "merge_misra_gries", "sharded_merged"],
+)
+def test_zero_merge_capacity_is_rejected(merge, error):
+    # capacity=0 is a caller error, not a request for the default capacity.
+    with pytest.raises(error):
+        merge()
