@@ -88,7 +88,11 @@ class SubsetSumEstimator(Protocol):
 
 @runtime_checkable
 class HeavyHitterEstimator(Protocol):
-    """Reports frequent items above a relative-frequency threshold."""
+    """Reports frequent items above a relative-frequency threshold.
+
+    Implementations answer through the rule in :mod:`repro.core.base`
+    (``ranked_pairs``, ``check_k``, ``check_phi``).
+    """
 
     def heavy_hitters(self, phi: float) -> Dict[Item, float]:
         """Items whose estimated relative frequency is at least ``phi``."""

@@ -44,7 +44,8 @@ from repro.cluster.membership import (
 )
 from repro.cluster.router import ClusterRouter
 from repro.cluster.shard_session import SessionRoute, scatter_batch
-from repro.distributed.sharded import merge_shard_states, ranked_pairs
+from repro.core.base import ranked_pairs
+from repro.distributed.sharded import merge_shard_states
 
 __all__ = [
     "DEFAULT_REPLICAS",

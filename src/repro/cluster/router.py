@@ -54,10 +54,10 @@ from __future__ import annotations
 
 import asyncio
 import base64
-import json
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.core.base import ranked_pairs
 from repro.errors import (
     ClusterError,
     InvalidParameterError,
@@ -68,7 +68,7 @@ from repro.errors import (
     SessionNotFoundError,
 )
 from repro.serve import protocol
-from repro.serve.checkpoint import MANIFEST_FORMAT, MANIFEST_NAME
+from repro.serve.checkpoint import MANIFEST_NAME, read_manifest
 from repro.serve.endpoint import JsonLinesEndpoint
 from repro.serve.registry import DEFAULT_TENANT
 
@@ -79,7 +79,7 @@ from repro.cluster.membership import (
     Member,
 )
 from repro.cluster.shard_session import SessionRoute, scatter_batch
-from repro.distributed.sharded import merge_shard_states, ranked_pairs
+from repro.distributed.sharded import merge_shard_states
 
 __all__ = ["ClusterRouter"]
 
@@ -286,7 +286,7 @@ class ClusterRouter(JsonLinesEndpoint):
                     continue
                 try:
                     await self.fail_over(member.member_id)
-                except (ClusterError, ServeError, OSError) as exc:
+                except (ServeError, SerializationError, OSError) as exc:
                     # The member stays marked down; the error is
                     # surfaced via cluster_info rather than
                     # killing the loop.
@@ -296,30 +296,57 @@ class ClusterRouter(JsonLinesEndpoint):
             else:
                 member.failures = 0
 
-    def _read_member_manifest(self, member_id: str) -> Dict[Tuple[str, str], Dict]:
-        """The dead member's checkpoint manifest, keyed by (tenant, name)."""
-        return self._read_manifest_dir(self.member_checkpoint_dir(member_id), member_id)
-
+    @staticmethod
     def _read_manifest_dir(
-        self, directory: Path, member_id: str
+        directory: Path, member_id: str
     ) -> Dict[Tuple[str, str], Dict]:
-        """A checkpoint manifest by directory (works for removed members too)."""
-        manifest_path = directory / MANIFEST_NAME
-        if not manifest_path.exists():
+        """A member's checkpoint manifest keyed by (tenant, name), read by
+        directory so it works for removed members too."""
+        if not (directory / MANIFEST_NAME).exists():
             raise ClusterError(
                 f"member {member_id!r} left no checkpoint manifest at "
-                f"{manifest_path}; its sessions cannot be rehydrated"
-            )
-        manifest = json.loads(manifest_path.read_text())
-        if manifest.get("format") != MANIFEST_FORMAT:
-            raise SerializationError(
-                f"{manifest_path} is not a serve checkpoint manifest "
-                f"(format={manifest.get('format')!r})"
+                f"{directory / MANIFEST_NAME}; its sessions cannot be rehydrated"
             )
         return {
             (entry["tenant"], entry["name"]): entry
-            for entry in manifest.get("sessions", [])
+            for entry in read_manifest(directory).get("sessions", [])
         }
+
+    @staticmethod
+    def _adopt_fields(
+        directory: Path, route: SessionRoute, wire_name: str, entry: Dict[str, Any]
+    ) -> Dict[str, Any]:
+        """The ``adopt`` call that moves one manifest entry's frame."""
+        frame = base64.b64encode((directory / entry["file"]).read_bytes())
+        return dict(
+            session=wire_name,
+            tenant=route.tenant,
+            spec=entry.get("spec"),
+            backend=entry.get("backend"),
+            ttl=entry.get("ttl"),
+            rows_applied=entry.get("rows_applied", 0),
+            frame=frame.decode("ascii"),
+        )
+
+    def _hosted_slots(self, member_id: str) -> List[Tuple[SessionRoute, int, str, str]]:
+        """Every ``(route, shard_index, wire_name, member_id)`` slot the
+        member hosts."""
+        return [
+            (route, index, wire_name, owner)
+            for route in self._routes.values()
+            for index, wire_name, owner in route.slots()
+            if owner == member_id
+        ]
+
+    def _require_shared_root(self) -> Path:
+        """The shared checkpoint root a live rebalance streams frames through."""
+        if self._shared_root is None:
+            raise ClusterError(
+                "live rebalance needs a shared_checkpoint_root: frames "
+                "stream between members through the shared checkpoint "
+                "directory"
+            )
+        return self._shared_root
 
     async def fail_over(self, member_id: str) -> Dict[str, Any]:
         """Mark a member down and rehydrate its sessions on ring successors.
@@ -334,7 +361,9 @@ class ClusterRouter(JsonLinesEndpoint):
         Raises :class:`ClusterError` when a hosted slot has no
         checkpoint to recover from (no ``shared_checkpoint_root``, or
         the member died before its first checkpoint), or when no healthy
-        member remains to take a slot over.
+        member remains to take a slot over.  Raises
+        :class:`~repro.errors.SerializationError`, adopting nothing, when
+        the manifest is foreign or newer than this library reads.
         """
         async with self._topology_lock:
             member = self._membership.get(member_id)
@@ -343,17 +372,12 @@ class ClusterRouter(JsonLinesEndpoint):
             self._membership.mark_down(member_id)
             self._failovers += 1
             await self._conns[member_id].invalidate()
-            affected = [
-                (route, index, wire_name)
-                for route in self._routes.values()
-                for index, wire_name, owner in route.slots()
-                if owner == member_id
-            ]
+            affected = self._hosted_slots(member_id)
+            if affected:
+                directory = self.member_checkpoint_dir(member_id)
+                manifest = self._read_manifest_dir(directory, member_id)
             moved = 0
-            manifest = (
-                self._read_member_manifest(member_id) if affected else {}
-            )
-            for route, index, wire_name in affected:
+            for route, index, wire_name, _ in affected:
                 entry = manifest.get((route.tenant, wire_name))
                 if entry is None:
                     raise ClusterError(
@@ -363,17 +387,8 @@ class ClusterRouter(JsonLinesEndpoint):
                         "fail-over)"
                     )
                 replacement = self._membership.route(route.ring_key(index))
-                frame_path = self.member_checkpoint_dir(member_id) / entry["file"]
-                frame = base64.b64encode(frame_path.read_bytes()).decode("ascii")
                 await self._conns[replacement.member_id].call(
-                    "adopt",
-                    session=wire_name,
-                    tenant=route.tenant,
-                    spec=entry.get("spec"),
-                    backend=entry.get("backend"),
-                    ttl=entry.get("ttl"),
-                    rows_applied=entry.get("rows_applied", 0),
-                    frame=frame,
+                    "adopt", **self._adopt_fields(directory, route, wire_name, entry)
                 )
                 route.members[index] = replacement.member_id
                 route.epoch += 1
@@ -420,12 +435,7 @@ class ClusterRouter(JsonLinesEndpoint):
         """
         if not moves:
             return 0
-        if self._shared_root is None:
-            raise ClusterError(
-                "live rebalance needs a shared_checkpoint_root: frames "
-                "stream between members through the shared checkpoint "
-                "directory"
-            )
+        root = self._require_shared_root()
         by_source: Dict[str, List[Tuple[SessionRoute, int, str, str]]] = {}
         for move in moves:
             by_source.setdefault(move[3], []).append(move)
@@ -444,9 +454,8 @@ class ClusterRouter(JsonLinesEndpoint):
                         "flush", session=wire_name, tenant=route.tenant
                     )
                 await source.call("checkpoint", force=True)
-                manifest = self._read_manifest_dir(
-                    self._shared_root / source_id, source_id
-                )
+                directory = root / source_id
+                manifest = self._read_manifest_dir(directory, source_id)
                 for route, index, wire_name, _ in by_source[source_id]:
                     entry = manifest.get((route.tenant, wire_name))
                     if entry is None:
@@ -456,17 +465,7 @@ class ClusterRouter(JsonLinesEndpoint):
                             "migrate it"
                         )
                     target = self._membership.route(route.ring_key(index))
-                    frame_path = self._shared_root / source_id / entry["file"]
-                    frame = base64.b64encode(frame_path.read_bytes()).decode("ascii")
-                    adopt_fields = dict(
-                        session=wire_name,
-                        tenant=route.tenant,
-                        spec=entry.get("spec"),
-                        backend=entry.get("backend"),
-                        ttl=entry.get("ttl"),
-                        rows_applied=entry.get("rows_applied", 0),
-                        frame=frame,
-                    )
+                    adopt_fields = self._adopt_fields(directory, route, wire_name, entry)
                     try:
                         await self._conns[target.member_id].call(
                             "adopt", **adopt_fields
@@ -571,18 +570,9 @@ class ClusterRouter(JsonLinesEndpoint):
                     f"cannot decommission {member_id!r}: no other healthy "
                     "member to drain its sessions to"
                 )
-            hosted = [
-                (route, index, wire_name, owner)
-                for route in self._routes.values()
-                for index, wire_name, owner in route.slots()
-                if owner == member_id
-            ]
-            if hosted and self._shared_root is None:
-                raise ClusterError(
-                    "live rebalance needs a shared_checkpoint_root: frames "
-                    "stream between members through the shared checkpoint "
-                    "directory"
-                )
+            hosted = self._hosted_slots(member_id)
+            if hosted:
+                self._require_shared_root()
             self._membership.remove_member(member_id)
             self._rebalances += 1
             self._rebalance_active = True

@@ -12,8 +12,10 @@ The counters of the Space Saving family live in
 from __future__ import annotations
 
 import abc
+import math
+import numbers
 import random
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 from repro._typing import Item, ItemPredicate
 from repro.core.batching import collapse_batch, iter_weighted_rows
@@ -23,7 +25,58 @@ from repro.errors import InvalidParameterError
 __all__ = [
     "FrequentItemSketch",
     "SubsetSumSketch",
+    "check_k",
+    "check_phi",
+    "ranked_pairs",
 ]
+
+
+# ----------------------------------------------------------------------
+# The frequent-item read rule
+# ----------------------------------------------------------------------
+def check_k(k: Any) -> int:
+    """A ``top_k`` count: a non-negative integer, and not a bool."""
+    if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 0:
+        raise InvalidParameterError(f"'k' must be a non-negative integer, got {k!r}")
+    return int(k)
+
+
+def check_phi(phi: Any) -> float:
+    """A ``heavy_hitters`` fraction: a finite real in ``(0, 1]``, not a bool."""
+    if (
+        isinstance(phi, bool)
+        or not isinstance(phi, numbers.Real)
+        or not (math.isfinite(phi) and 0 < phi <= 1)
+    ):
+        raise InvalidParameterError(
+            f"'phi' must be a finite real number in (0, 1], got {phi!r}"
+        )
+    return float(phi)
+
+
+def ranked_pairs(
+    bins: Mapping[Item, float],
+    *,
+    k: Optional[int] = None,
+    threshold: Optional[float] = None,
+) -> List[Tuple[Item, float]]:
+    """Bins ranked by descending count, ties broken by ``repr(item)``.
+
+    ``threshold`` keeps only strictly-positive bins at or above it (the
+    heavy-hitter filter); ``k`` truncates.  Every ``top_k`` is
+    ``ranked_pairs(bins, k=check_k(k))`` and every ``heavy_hitters`` is
+    ``dict(ranked_pairs(bins, threshold=check_phi(phi) * total))``.
+
+    >>> ranked_pairs({"b": 2.0, "c": 5.0, "a": 2.0}, k=2)
+    [('c', 5.0), ('a', 2.0)]
+    """
+    pairs = [
+        (item, count)
+        for item, count in bins.items()
+        if threshold is None or (count >= threshold and count > 0)
+    ]
+    pairs.sort(key=lambda pair: (-pair[1], repr(pair[0])))
+    return pairs if k is None else pairs[:k]
 
 
 # ----------------------------------------------------------------------
@@ -158,10 +211,7 @@ class FrequentItemSketch(abc.ABC):
 
     def top_k(self, k: int) -> List[Tuple[Item, float]]:
         """Return the ``k`` items with the largest estimated counts."""
-        if k < 0:
-            raise InvalidParameterError("k must be non-negative")
-        ranked = sorted(self.estimates().items(), key=lambda kv: (-kv[1], repr(kv[0])))
-        return ranked[:k]
+        return ranked_pairs(self.estimates(), k=check_k(k))
 
     def heavy_hitters(self, phi: float) -> Dict[Item, float]:
         """Items whose estimated relative frequency is at least ``phi``.
@@ -171,15 +221,11 @@ class FrequentItemSketch(abc.ABC):
         phi:
             Relative frequency threshold in ``(0, 1]``; an item is reported
             when its estimated count is at least ``phi * total_weight``.
+            The mapping is in rank order (:func:`ranked_pairs`).
         """
-        if not 0 < phi <= 1:
-            raise InvalidParameterError("phi must lie in (0, 1]")
-        threshold = phi * self._total_weight
-        return {
-            item: count
-            for item, count in self.estimates().items()
-            if count >= threshold and count > 0
-        }
+        return dict(
+            ranked_pairs(self.estimates(), threshold=check_phi(phi) * self._total_weight)
+        )
 
     def relative_frequencies(self) -> Dict[Item, float]:
         """Estimated relative frequency ``N̂_i / t`` for each retained item."""

@@ -22,6 +22,7 @@ import math
 from typing import Callable, Dict, Optional, Tuple
 
 from repro._typing import Item, ItemPredicate
+from repro.core.base import check_k, ranked_pairs
 from repro.core.unbiased_space_saving import UnbiasedSpaceSaving
 from repro.core.variance import EstimateWithError
 from repro.errors import InvalidParameterError
@@ -185,9 +186,7 @@ class ForwardDecaySketch:
 
     def top_k(self, k: int, at_time: Optional[float] = None) -> Tuple[Tuple[Item, float], ...]:
         """The ``k`` items with the largest decayed estimates."""
-        estimates = self.decayed_estimates(at_time)
-        ranked = sorted(estimates.items(), key=lambda kv: (-kv[1], repr(kv[0])))
-        return tuple(ranked[:k])
+        return tuple(ranked_pairs(self.decayed_estimates(at_time), k=check_k(k)))
 
     @property
     def underlying_sketch(self) -> UnbiasedSpaceSaving:

@@ -18,8 +18,8 @@ from __future__ import annotations
 from typing import Dict, List, Tuple
 
 from repro._typing import Item
+from repro.core.base import check_phi
 from repro.core.unbiased_space_saving import SpaceSaving
-from repro.errors import InvalidParameterError
 
 __all__ = ["DeterministicSpaceSaving"]
 
@@ -81,9 +81,7 @@ class DeterministicSpaceSaving(SpaceSaving):
         An item is guaranteed frequent when its lower bound exceeds the
         threshold ``phi * n_tot``.
         """
-        if not 0 < phi <= 1:
-            raise InvalidParameterError("phi must lie in (0, 1]")
-        threshold = phi * self._total_weight
+        threshold = check_phi(phi) * self._total_weight
         return {
             item: count
             for item, count in self.estimates().items()

@@ -14,9 +14,10 @@ turns that result into a usable scale-out API:
   sets, the owning shard's estimate *is* the ensemble estimate.
 * **Global queries** read the disjoint union of the shard states: bins
   union, totals add and, the shards being independent, subset-sum
-  variances add.  :func:`merge_shard_states` and :func:`ranked_pairs`
-  hold that union and its ranking once; the cluster router gathers its
-  key-sharded sessions through the same two functions.
+  variances add.  :func:`merge_shard_states` holds that union once, and
+  :func:`repro.core.base.ranked_pairs` ranks it as every sketch ranks its
+  own bins; the cluster router gathers its key-sharded sessions through
+  the same two functions.
 * **Merging** down to a single capacity-``m`` sketch goes through the
   existing :mod:`repro.core.merge` machinery
   (:func:`~repro.core.merge.merge_many_unbiased`), preserving unbiasedness.
@@ -33,6 +34,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro._typing import Item, ItemPredicate
+from repro.core.base import check_k, check_phi, ranked_pairs
 from repro.core.batching import collapse_batch, iter_weighted_rows
 from repro.core.merge import merge_many_unbiased
 from repro.core.unbiased_space_saving import UnbiasedSpaceSaving
@@ -41,7 +43,7 @@ from repro.distributed.partition import hash_partition_batch, stable_shard
 from repro.errors import InvalidParameterError
 from repro.io.serializable import SerializableSketch
 
-__all__ = ["ShardedSketch", "merge_shard_states", "ranked_pairs"]
+__all__ = ["ShardedSketch", "merge_shard_states"]
 
 
 def merge_shard_states(
@@ -64,26 +66,6 @@ def merge_shard_states(
                 union[item] = union.get(item, 0.0) + float(count)
         total += float(shard_total)
     return union, total
-
-
-def ranked_pairs(
-    bins: Mapping[Item, float],
-    *,
-    k: Optional[int] = None,
-    threshold: Optional[float] = None,
-) -> List[Tuple[Item, float]]:
-    """Bins ranked by descending count, ties broken by ``repr(item)``.
-
-    ``threshold`` keeps only strictly-positive bins at or above it (the
-    heavy-hitter filter); ``k`` truncates.
-    """
-    pairs = [
-        (item, count)
-        for item, count in bins.items()
-        if threshold is None or (count >= threshold and count > 0)
-    ]
-    pairs.sort(key=lambda pair: (-pair[1], repr(pair[0])))
-    return pairs if k is None else pairs[:k]
 
 
 class ShardedSketch(SerializableSketch):
@@ -138,8 +120,6 @@ class ShardedSketch(SerializableSketch):
         )
         self._rows_processed = 0
         self._total_weight = 0.0
-        self._version = 0
-        self._merged_cache: Optional[Tuple[int, int, UnbiasedSpaceSaving]] = None
 
     # ------------------------------------------------------------------
     # Topology
@@ -189,7 +169,6 @@ class ShardedSketch(SerializableSketch):
         self.shard_for(item).update(item, weight)
         self._rows_processed += 1
         self._total_weight += weight
-        self._version += 1
 
     def update_batch(
         self,
@@ -219,7 +198,6 @@ class ShardedSketch(SerializableSketch):
                 )
         self._rows_processed += row_count
         self._total_weight += total
-        self._version += 1
         return self
 
     def extend(self, rows) -> "ShardedSketch":
@@ -265,16 +243,12 @@ class ShardedSketch(SerializableSketch):
 
     def top_k(self, k: int) -> List[Tuple[Item, float]]:
         """The ``k`` largest estimated counts across the ensemble."""
-        if k < 0:
-            raise InvalidParameterError("k must be non-negative")
-        return ranked_pairs(self.estimates(), k=k)
+        return ranked_pairs(self.estimates(), k=check_k(k))
 
     def heavy_hitters(self, phi: float) -> Dict[Item, float]:
         """Items at or above relative frequency ``phi`` of the *global* weight."""
-        if not 0 < phi <= 1:
-            raise InvalidParameterError("phi must lie in (0, 1]")
         return dict(
-            ranked_pairs(self.estimates(), threshold=phi * self._total_weight)
+            ranked_pairs(self.estimates(), threshold=check_phi(phi) * self._total_weight)
         )
 
     def total_estimate(self) -> float:
@@ -284,24 +258,15 @@ class ShardedSketch(SerializableSketch):
     def merged(self, capacity=None, *, seed=None) -> UnbiasedSpaceSaving:
         """Merge all shards into one unbiased sketch via ``merge_many_unbiased``.
 
-        The result is cached per ``(state, capacity)`` so repeated queries
-        between updates reuse the same merge; pass ``seed`` to override the
-        reduction seed (which also bypasses the cache).
+        Each call runs a fresh merge, so the caller owns the result; pass
+        ``seed`` to override the reduction seed.
         """
-        target = self._capacity if capacity is None else capacity
-        if seed is None and self._merged_cache is not None:
-            version, cached_capacity, cached = self._merged_cache
-            if version == self._version and cached_capacity == target:
-                return cached
-        merged = merge_many_unbiased(
+        return merge_many_unbiased(
             self._shards,
-            capacity=target,
+            capacity=self._capacity if capacity is None else capacity,
             method=self._merge_method,
             seed=self._seed if seed is None else seed,
         )
-        if seed is None:
-            self._merged_cache = (self._version, target, merged)
-        return merged
 
     def __repr__(self) -> str:
         return (
@@ -347,6 +312,4 @@ class ShardedSketch(SerializableSketch):
         )
         sketch._rows_processed = int(meta["rows_processed"])
         sketch._total_weight = float(meta["total_weight"])
-        sketch._version = 0
-        sketch._merged_cache = None
         return sketch

@@ -25,6 +25,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 import numpy as np
 
 from repro._typing import Item
+from repro.core.base import check_k, check_phi, ranked_pairs
 from repro.core.batching import collapse_batch, iter_weighted_rows
 from repro.errors import CapabilityError, InvalidParameterError, UnsupportedUpdateError
 from repro.io.codec import decode_item, encode_item
@@ -298,21 +299,13 @@ class CountMinSketch(SerializableSketch):
             raise CapabilityError(
                 "heavy_hitters requires track_heavy_hitters > 0 at construction"
             )
-        if not 0 < phi <= 1:
-            raise InvalidParameterError("phi must lie in (0, 1]")
-        threshold = phi * self._total_weight
-        return {
-            item: estimate
-            for item, estimate in self.estimates().items()
-            if estimate >= threshold and estimate > 0
-        }
+        return dict(
+            ranked_pairs(self.estimates(), threshold=check_phi(phi) * self._total_weight)
+        )
 
     def top_k(self, k: int) -> List[Tuple[Item, float]]:
         """The ``k`` largest estimates in the tracked view."""
-        if k < 0:
-            raise InvalidParameterError("k must be non-negative")
-        ranked = sorted(self.estimates().items(), key=lambda kv: (-kv[1], repr(kv[0])))
-        return ranked[:k]
+        return ranked_pairs(self.estimates(), k=check_k(k))
 
     def __capabilities__(self) -> set:
         """Withhold enumeration capabilities when tracking is disabled."""

@@ -19,6 +19,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro._typing import Item
+from repro.core.base import check_phi
 from repro.core.unbiased_space_saving import UnbiasedSpaceSaving
 from repro.errors import InvalidParameterError
 
@@ -140,9 +141,7 @@ class HierarchicalHeavyHitters:
         total — the standard discounted definition of hierarchical heavy
         hitters, evaluated bottom-up.
         """
-        if not 0 < phi <= 1:
-            raise InvalidParameterError("phi must lie in (0, 1]")
-        threshold = phi * max(1.0, float(self._rows_processed))
+        threshold = check_phi(phi) * max(1.0, float(self._rows_processed))
         reported: Dict[Path, float] = {}
         # Evaluate from the deepest level upward so descendants are known.
         for level in reversed(range(self._depth)):

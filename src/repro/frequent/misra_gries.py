@@ -23,7 +23,7 @@ from typing import Dict, Iterable, Optional
 import numpy as np
 
 from repro._typing import Item
-from repro.core.base import FrequentItemSketch
+from repro.core.base import FrequentItemSketch, check_phi
 from repro.core.batching import collapse_batch
 from repro.errors import InvalidParameterError, UnsupportedUpdateError
 from repro.io.codec import decode_item, encode_item
@@ -155,9 +155,7 @@ class MisraGriesSketch(FrequentItemSketch, SerializableSketch):
 
     def guaranteed_heavy_hitters(self, phi: float) -> Dict[Item, float]:
         """Items that are provably above relative frequency ``phi``."""
-        if not 0 < phi <= 1:
-            raise InvalidParameterError("phi must lie in (0, 1]")
-        threshold = phi * self._total_weight
+        threshold = check_phi(phi) * self._total_weight
         return {
             item: count for item, count in self.estimates().items() if count >= threshold
         }

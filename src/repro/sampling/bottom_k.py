@@ -26,6 +26,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from repro._typing import Item, ItemPredicate
+from repro.core.base import check_k, check_phi, ranked_pairs
 from repro.core.batching import collapse_batch, iter_weighted_rows
 from repro.core.variance import EstimateWithError
 from repro.errors import InvalidParameterError
@@ -236,21 +237,13 @@ class BottomKSketch(SerializableSketch):
         data a uniform item sample misses heavy items far more often than
         the Space Saving family (the paper's figure-4 point).
         """
-        if not 0 < phi <= 1:
-            raise InvalidParameterError("phi must lie in (0, 1]")
-        threshold = phi * self._total_weight
-        return {
-            item: estimate
-            for item, estimate in self.estimates().items()
-            if estimate >= threshold and estimate > 0
-        }
+        return dict(
+            ranked_pairs(self.estimates(), threshold=check_phi(phi) * self._total_weight)
+        )
 
     def top_k(self, k: int) -> "list[Tuple[Item, float]]":
         """The ``k`` retained items with the largest adjusted estimates."""
-        if k < 0:
-            raise InvalidParameterError("k must be non-negative")
-        ranked = sorted(self.estimates().items(), key=lambda kv: (-kv[1], repr(kv[0])))
-        return ranked[:k]
+        return ranked_pairs(self.estimates(), k=check_k(k))
 
     def __repr__(self) -> str:
         return (

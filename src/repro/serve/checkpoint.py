@@ -38,6 +38,7 @@ from repro.serve.session import ServedSession
 __all__ = [
     "CheckpointScheduler",
     "checkpoint_registry",
+    "read_manifest",
     "restore_registry",
     "session_filename",
 ]
@@ -113,22 +114,14 @@ def checkpoint_registry(
     return manifest
 
 
-def restore_registry(
-    directory,
-    *,
-    registry: Optional[SketchRegistry] = None,
-    **registry_kwargs,
-) -> SketchRegistry:
-    """Rebuild a registry from a checkpoint directory's manifest.
+def read_manifest(directory) -> Dict[str, Any]:
+    """A checkpoint directory's manifest, checked before any frame is read.
 
-    Each checkpoint file is loaded through the :mod:`repro.io` type
-    registry (no class needs to be named up front), wrapped back into a
-    :class:`StreamSession` with its recorded spec/backend labels (window
-    policies re-derive from the restored estimator itself), and adopted
-    under its original ``(tenant, name)`` key and TTL.
+    Raises :class:`~repro.errors.SerializationError` when the manifest is
+    missing, is not a serve checkpoint manifest, or is newer than
+    :data:`MANIFEST_VERSION`.
     """
-    directory = Path(directory)
-    manifest_path = directory / MANIFEST_NAME
+    manifest_path = Path(directory) / MANIFEST_NAME
     if not manifest_path.exists():
         raise SerializationError(
             f"no serve checkpoint manifest at {manifest_path}"
@@ -144,6 +137,25 @@ def restore_registry(
             f"serve checkpoint manifest version {manifest['version']} is newer "
             f"than this library understands (max {MANIFEST_VERSION})"
         )
+    return manifest
+
+
+def restore_registry(
+    directory,
+    *,
+    registry: Optional[SketchRegistry] = None,
+    **registry_kwargs,
+) -> SketchRegistry:
+    """Rebuild a registry from a checkpoint directory's manifest.
+
+    Each checkpoint file is loaded through the :mod:`repro.io` type
+    registry (no class needs to be named up front), wrapped back into a
+    :class:`StreamSession` with its recorded spec/backend labels (window
+    policies re-derive from the restored estimator itself), and adopted
+    under its original ``(tenant, name)`` key and TTL.
+    """
+    directory = Path(directory)
+    manifest = read_manifest(directory)
     if registry is None:
         registry = SketchRegistry(**registry_kwargs)
     for entry in manifest["sessions"]:

@@ -52,12 +52,11 @@ from __future__ import annotations
 import base64
 import binascii
 import json
-import math
-import numbers
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core import base
 from repro.core.variance import EstimateWithError
 from repro.errors import InvalidParameterError, SerializationError
 from repro.query.engine import QueryResult
@@ -298,33 +297,15 @@ def check_rows(
 
 
 def check_k(k: Any) -> int:
-    """A ``top_k`` count: a non-negative integer, and not a bool.
-
-    ``None`` (an absent field) reads as 10.
-    """
-    if k is None:
-        return 10
-    if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 0:
-        raise InvalidParameterError(f"'k' must be a non-negative integer, got {k!r}")
-    return int(k)
+    """A wire ``top_k`` count: :func:`repro.core.base.check_k`, and an
+    absent field (``None``) reads as 10."""
+    return 10 if k is None else base.check_k(k)
 
 
 def check_phi(phi: Any) -> float:
-    """A ``heavy_hitters`` fraction: a finite real in ``(0, 1]``, not a bool.
-
-    ``None`` (an absent field) reads as 0.01.
-    """
-    if phi is None:
-        return 0.01
-    if (
-        isinstance(phi, bool)
-        or not isinstance(phi, numbers.Real)
-        or not (math.isfinite(phi) and 0 < phi <= 1)
-    ):
-        raise InvalidParameterError(
-            f"'phi' must be a finite real number in (0, 1], got {phi!r}"
-        )
-    return float(phi)
+    """A wire ``heavy_hitters`` fraction: :func:`repro.core.base.check_phi`,
+    and an absent field (``None``) reads as 0.01."""
+    return 0.01 if phi is None else base.check_phi(phi)
 
 
 def encode_pairs(groups: "Dict[Any, float] | Iterable[Tuple[Any, float]]") -> List[List[Any]]:

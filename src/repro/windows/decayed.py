@@ -24,6 +24,7 @@ import numpy as np
 
 from repro._typing import Item, ItemPredicate
 from repro.api.protocols import HEAVY_HITTERS, POINT, SERIALIZE, SUBSET_SUM
+from repro.core.base import check_phi, ranked_pairs
 from repro.core.decay import ForwardDecaySketch
 from repro.core.variance import EstimateWithError
 from repro.errors import InvalidParameterError
@@ -239,15 +240,9 @@ class DecayedWindowSketch(SerializableSketch):
         self, phi: float, at_time: Optional[float] = None
     ) -> Dict[Item, float]:
         """Items at or above decayed relative frequency ``phi``."""
-        if not 0 < phi <= 1:
-            raise InvalidParameterError("phi must lie in (0, 1]")
+        fraction = check_phi(phi)
         decayed = self._sketch.decayed_estimates(at_time=at_time)
-        threshold = phi * sum(decayed.values())
-        return {
-            item: count
-            for item, count in decayed.items()
-            if count >= threshold and count > 0
-        }
+        return dict(ranked_pairs(decayed, threshold=fraction * sum(decayed.values())))
 
     def top_k(
         self, k: int, at_time: Optional[float] = None

@@ -39,6 +39,7 @@ import numpy as np
 from repro._typing import Item, ItemPredicate
 from repro.api.protocols import HEAVY_HITTERS, POINT, SERIALIZE, SUBSET_SUM
 from repro.api.specs import get_spec
+from repro.core.base import check_k, check_phi, ranked_pairs
 from repro.core.batching import iter_weighted_rows
 from repro.core.merge import combine_estimates, merge_many_unbiased
 from repro.core.unbiased_space_saving import UnbiasedSpaceSaving
@@ -499,24 +500,13 @@ class _PaneRingSketch(SerializableSketch):
 
     def heavy_hitters(self, phi: float, last: Optional[int] = None) -> Dict[Item, float]:
         """Items at or above relative frequency ``phi`` *within the window scope*."""
-        if not 0 < phi <= 1:
-            raise InvalidParameterError("phi must lie in (0, 1]")
+        fraction = check_phi(phi)
         view = self._view(last)
-        threshold = phi * view.total_weight
-        return {
-            item: count
-            for item, count in view.bins.items()
-            if count >= threshold and count > 0
-        }
+        return dict(ranked_pairs(view.bins, threshold=fraction * view.total_weight))
 
     def top_k(self, k: int, last: Optional[int] = None) -> List[Tuple[Item, float]]:
         """The ``k`` largest in-scope estimates, rank order."""
-        if k < 0:
-            raise InvalidParameterError("k must be non-negative")
-        ranked = sorted(
-            self._view(last).bins.items(), key=lambda kv: (-kv[1], repr(kv[0]))
-        )
-        return ranked[:k]
+        return ranked_pairs(self._view(last).bins, k=check_k(k))
 
     def total_estimate(self, last: Optional[int] = None) -> float:
         """Total weight ingested into the in-scope windows."""

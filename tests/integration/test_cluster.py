@@ -14,6 +14,7 @@ health loop, and cluster administration (cluster_info, routing errors).
 from __future__ import annotations
 
 import asyncio
+import json
 import math
 
 import pytest
@@ -24,9 +25,11 @@ from repro.errors import (
     ClusterError,
     InvalidParameterError,
     MemberDownError,
+    SerializationError,
     SessionNotFoundError,
 )
 from repro.serve import SketchServer, TCPServeClient
+from repro.serve.checkpoint import MANIFEST_NAME, MANIFEST_VERSION
 from repro.streams import chunk_stream
 
 
@@ -349,6 +352,45 @@ class TestFailover:
                 await cluster.servers[victim].stop()
                 with pytest.raises((MemberDownError, ClusterError)):
                     await client.total("s")
+            finally:
+                await cluster.close()
+
+        run(scenario())
+
+    def test_failover_refuses_a_newer_manifest_and_adopts_nothing(self, tmp_path):
+        async def scenario():
+            cluster = await _cluster(tmp_path)
+            client = cluster.client
+            try:
+                await client.create("s", SPEC, size=16, seed=1, shards=3)
+                await client.update_batch("s", list(range(50)))
+                await client.flush("s")
+                await client.checkpoint()
+                info = await client.request("cluster_info")
+                before = info["cluster"]["sessions"][0]["members"]
+                victim = before[0]
+                # Keep the stop from rewriting the manifest, then mark it
+                # as written by a newer library.
+                cluster.servers[victim]._checkpointer = None
+                await cluster.servers[victim].stop()
+                manifest_path = tmp_path / victim / MANIFEST_NAME
+                manifest = json.loads(manifest_path.read_text())
+                manifest["version"] = MANIFEST_VERSION + 1
+                manifest_path.write_text(json.dumps(manifest))
+                hosted = {
+                    member_id: len(server.registry)
+                    for member_id, server in cluster.servers.items()
+                    if member_id != victim
+                }
+                with pytest.raises(SerializationError, match="newer"):
+                    await cluster.router.fail_over(victim)
+                after = (await client.request("cluster_info"))["cluster"]
+                assert after["sessions"][0]["members"] == before
+                assert after["sessions_rehydrated"] == 0
+                assert hosted == {
+                    member_id: len(cluster.servers[member_id].registry)
+                    for member_id in hosted
+                }
             finally:
                 await cluster.close()
 

@@ -425,10 +425,15 @@ class TestShardedSketch:
         )
         assert merged.estimates() == expected.estimates()
         assert merged.capacity == self.CAPACITY
-        # Cache: same object until the next update invalidates it.
-        assert sharded.merged() is merged
+        # Each call merges afresh: seeded calls agree byte for byte, and a
+        # caller's edits to one result reach neither the ensemble nor the
+        # next result.
+        assert sharded.merged().to_bytes() == merged.to_bytes()
+        merged.update("not-a-label", 5.0)
+        assert sharded.merged().estimate("not-a-label") == 0.0
+        assert sharded.total_estimate() == pytest.approx(len(batch_workload))
         sharded.update(batch_workload[0])
-        assert sharded.merged() is not merged
+        assert sharded.merged().total_estimate() == pytest.approx(len(batch_workload) + 1)
 
     def test_merged_answers_track_union(self, sharded):
         merged = sharded.merged()

@@ -3,8 +3,8 @@
 Pinned here: merging goes through the core unbiased merge; subset queries
 add per-shard estimates and variances; scalar rows and batches route
 every label to the same shard; global reads are the disjoint union of the
-shards, ranked like the cluster gather; the merged-sketch cache follows
-updates; frames and checkpoints round-trip and resume bit-identically.
+shards, ranked like the cluster gather; each ``merged()`` is a fresh
+merge the caller owns; frames and checkpoints round-trip and resume bit-identically.
 The statistical check asserts the paper's guarantees for the ensemble
 over many seeds: unbiased subset sums, exact totals and a calibrated
 variance estimate.
@@ -16,7 +16,8 @@ import numpy as np
 import pytest
 
 from repro.core.merge import merge_many_unbiased
-from repro.distributed.sharded import ShardedSketch, merge_shard_states, ranked_pairs
+from repro.core.base import ranked_pairs
+from repro.distributed.sharded import ShardedSketch, merge_shard_states
 from repro.errors import InvalidParameterError
 from repro.io import load_bytes
 
@@ -119,25 +120,24 @@ class TestIngestion:
         sharded.update_batch([])
         assert sharded.rows_processed == 2
         assert sharded.to_bytes() == before
-        assert sharded.merged() is merged
+        assert sharded.merged().to_bytes() == merged.to_bytes()
 
-    def test_merged_cache_invalidates_on_update(self):
+    def test_mutating_a_merged_result_leaves_the_ensemble_alone(self):
+        sharded = ShardedSketch(8, 2, seed=0)
+        sharded.update_batch(["a", "b", "a"])
+        sharded.merged().update("zz", 5.0)
+        again = sharded.merged()
+        assert again.estimate("zz") == 0.0
+        assert again.total_estimate() == sharded.total_estimate() == 3.0
+        assert sharded.estimate("zz") == 0.0
+
+    def test_seeded_merges_are_byte_equal_and_follow_updates(self):
         sharded = ShardedSketch(8, 2, seed=0)
         sharded.update_batch(["a"] * 5)
-        first = sharded.merged()
-        assert sharded.merged() is first
-        assert first.estimate("a") == 5.0
-        sharded.update_batch(["a"] * 5)
-        second = sharded.merged()
-        assert second is not first
-        assert second.estimate("a") == sharded.estimate("a") == 10.0
+        assert sharded.merged().to_bytes() == sharded.merged().to_bytes()
+        assert sharded.merged(seed=1).to_bytes() == sharded.merged(seed=1).to_bytes()
         sharded.update("a")
-        assert sharded.merged() is not second
-        assert sharded.merged().estimate("a") == 11.0
-        # An explicit seed bypasses the cache without replacing it.
-        cached = sharded.merged()
-        assert sharded.merged(seed=1) is not cached
-        assert sharded.merged() is cached
+        assert sharded.merged().estimate("a") == sharded.estimate("a") == 6.0
 
 
 class TestSerialization:
