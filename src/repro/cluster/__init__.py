@@ -43,8 +43,9 @@ from repro.cluster.membership import (
     ring_delta,
 )
 from repro.cluster.router import ClusterRouter
-from repro.cluster.shard_session import SessionRoute, scatter_batch
+from repro.cluster.shard_session import SessionRoute
 from repro.core.base import ranked_pairs
+from repro.distributed.partition import scatter_batch
 from repro.distributed.sharded import merge_shard_states
 
 __all__ = [

@@ -13,8 +13,9 @@ members with the consistent-hash ring of
   sessions named ``{name}@shard{i}``, each ring-placed by its own key —
   and the router scatters ingest by label hash and gathers reads with
   the paper's disjoint-union math (summed estimates *and* variances for
-  subset sums, the union of the shards' bins for frequent-item reads;
-  see :mod:`repro.cluster.shard_session`);
+  subset sums, the union of the shards' bins for frequent-item reads),
+  with the functions ``ShardedSketch`` uses in process; see
+  :mod:`repro.cluster.shard_session`;
 * when a member stops answering, :meth:`fail_over` marks it down,
   re-maps its hash range to ring successors, and rehydrates its sessions
   on the survivors from the shared checkpoint directory — each member
@@ -78,8 +79,9 @@ from repro.cluster.membership import (
     ClusterMembership,
     Member,
 )
-from repro.cluster.shard_session import SessionRoute, scatter_batch
-from repro.distributed.sharded import merge_shard_states
+from repro.cluster.shard_session import SessionRoute
+from repro.distributed.partition import scatter_batch
+from repro.distributed.sharded import merge_shard_states, sum_estimates
 
 __all__ = ["ClusterRouter"]
 
@@ -674,15 +676,6 @@ class ClusterRouter(JsonLinesEndpoint):
             )
         )
 
-    @staticmethod
-    def _sum_scalars(results: Sequence[Dict[str, Any]]) -> Dict[str, float]:
-        """Sum per-shard scalar reads: estimates add, and — the shards
-        being independent — variances add too (§4's error model)."""
-        return {
-            "estimate": float(sum(r["estimate"] for r in results)),
-            "variance": float(sum(r["variance"] for r in results)),
-        }
-
     # ------------------------------------------------------------------
     # Ops: cluster administration
     # ------------------------------------------------------------------
@@ -1048,23 +1041,19 @@ class ClusterRouter(JsonLinesEndpoint):
             )
         if not route.sharded:
             return await self._forward(route, 0, "subset_sum", candidates=candidates)
-        by_shard: Dict[int, List[Any]] = {}
-        shards = route.shards_of(protocol.decode_items(candidates))
-        for shard, raw in zip(shards, candidates):
-            by_shard.setdefault(shard, []).append(raw)
-        if not by_shard:
-            return {"estimate": 0.0, "variance": 0.0}
+        slices = scatter_batch(candidates, None, None, route.shards, seed=route.seed)
         results = await asyncio.gather(
             *(
                 self._forward(route, index, "subset_sum", candidates=shard_candidates)
-                for index, shard_candidates in sorted(by_shard.items())
+                for index, (shard_candidates, _, _) in enumerate(slices)
+                if shard_candidates
             )
         )
-        return self._sum_scalars(results)
+        return _gathered_sum("subset_sum", results)
 
     async def _op_total(self, request: Dict[str, Any]) -> Dict[str, Any]:
         route = self._route(request)
-        return self._sum_scalars(await self._forward_all(route, "total"))
+        return _gathered_sum("total", await self._forward_all(route, "total"))
 
     async def _op_heavy_hitters(self, request: Dict[str, Any]) -> Dict[str, Any]:
         route = self._route(request)
@@ -1097,3 +1086,10 @@ class ClusterRouter(JsonLinesEndpoint):
             [(protocol.decode_pairs(result["pairs"]), 0.0) for result in results]
         )
         return {"pairs": protocol.encode_pairs(ranked_pairs(bins, k=k))}
+
+
+def _gathered_sum(op: str, results: Sequence[Dict[str, Any]]) -> Dict[str, Any]:
+    """The wire answer of a scalar read over the shards' wire answers."""
+    return protocol.encode_result(
+        op, sum_estimates(protocol.decode_result(op, result) for result in results)
+    )

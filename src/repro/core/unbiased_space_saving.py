@@ -81,6 +81,17 @@ class SpaceSaving(FrequentItemSketch, SerializableSketch):
             "see repro.core.weighted for signed updates"
         )
 
+    def _checked_weights(self, collapsed) -> np.ndarray:
+        """A non-empty weight column as float64, refused unless every
+        weight is finite and positive."""
+        collapsed = np.ascontiguousarray(collapsed, dtype=np.float64)
+        # min() <= 0 alone would let NaN through (NaN comparisons are all
+        # false), and +inf would collide with the store's free-slot
+        # sentinel — require finite positive weights explicitly.
+        if not np.isfinite(collapsed).all() or collapsed.min() <= 0:
+            raise self._weight_error()
+        return collapsed
+
     # ------------------------------------------------------------------
     # Ingestion
     # ------------------------------------------------------------------
@@ -136,12 +147,7 @@ class SpaceSaving(FrequentItemSketch, SerializableSketch):
         """
         if len(unique) == 0:
             return self
-        collapsed = np.ascontiguousarray(collapsed, dtype=np.float64)
-        # min() <= 0 alone would let NaN through (NaN comparisons are all
-        # false), and +inf would collide with the store's free-slot
-        # sentinel — require finite positive weights explicitly.
-        if not np.isfinite(collapsed).all() or collapsed.min() <= 0:
-            raise self._weight_error()
+        collapsed = self._checked_weights(collapsed)
         self._label_replacements += self._store.apply_batch(
             unique, collapsed, always_replace=self.always_replace
         )

@@ -3,8 +3,9 @@
 Three layers of the scale-out story live here:
 
 * :mod:`repro.distributed.partition` — strategies for splitting a raw event
-  stream across workers (hash, round-robin, key-range), including the
-  weighted batch variant used by the sharded executor.
+  stream across workers (hash, round-robin, key-range), including
+  :func:`scatter_batch`, the one label-hash scatter behind both the sharded
+  executor and the cluster router's key-sharded sessions.
 * :mod:`repro.distributed.sharded` — :class:`ShardedSketch`, a live
   hash-partitioned ensemble of Unbiased Space Saving sketches with batched
   ingestion, disjoint-union global queries and a merge down to one sketch.
@@ -20,9 +21,9 @@ from repro.distributed.mapreduce import (
 )
 from repro.distributed.partition import (
     hash_partition,
-    hash_partition_batch,
     key_range_partition,
     round_robin_partition,
+    scatter_batch,
     stable_shard,
 )
 from repro.distributed.sharded import ShardedSketch
@@ -34,8 +35,8 @@ __all__ = [
     "sketch_partitions",
     "tree_merge",
     "hash_partition",
-    "hash_partition_batch",
     "key_range_partition",
     "round_robin_partition",
+    "scatter_batch",
     "stable_shard",
 ]

@@ -8,16 +8,17 @@ turns that result into a usable scale-out API:
 * **Ingestion** routes every row (or batch) to one of ``num_shards``
   internal sketches by a stable hash of the item label, so all rows of a
   given item land on the same shard.  Batches are collapsed once globally
-  (:func:`repro.core.batching.collapse_batch`), hashed once per *distinct*
-  item, and handed to each shard without a second collapse.
+  (:func:`repro.core.batching.collapse_batch`), checked whole, and split
+  by :func:`repro.distributed.partition.scatter_batch` without a second
+  collapse.
 * **Point queries** need no merge at all: because shards hold disjoint item
   sets, the owning shard's estimate *is* the ensemble estimate.
-* **Global queries** read the disjoint union of the shard states: bins
-  union, totals add and, the shards being independent, subset-sum
-  variances add.  :func:`merge_shard_states` holds that union once, and
-  :func:`repro.core.base.ranked_pairs` ranks it as every sketch ranks its
-  own bins; the cluster router gathers its key-sharded sessions through
-  the same two functions.
+* **Global queries** combine the shards' answers: subset sums, totals
+  and their variances add (:func:`sum_estimates`), and frequent-item
+  reads rank (:func:`repro.core.base.ranked_pairs`) the union of the
+  shards' bins (:func:`merge_shard_states`), for ``top_k`` only each
+  shard's own top ``k``.  The cluster router scatters and gathers its
+  key-sharded sessions with the same functions.
 * **Merging** down to a single capacity-``m`` sketch goes through the
   existing :mod:`repro.core.merge` machinery
   (:func:`~repro.core.merge.merge_many_unbiased`), preserving unbiasedness.
@@ -39,11 +40,11 @@ from repro.core.batching import collapse_batch, iter_weighted_rows
 from repro.core.merge import merge_many_unbiased
 from repro.core.unbiased_space_saving import UnbiasedSpaceSaving
 from repro.core.variance import EstimateWithError
-from repro.distributed.partition import hash_partition_batch, stable_shard
+from repro.distributed.partition import scatter_batch, stable_shard
 from repro.errors import InvalidParameterError
 from repro.io.serializable import SerializableSketch
 
-__all__ = ["ShardedSketch", "merge_shard_states"]
+__all__ = ["ShardedSketch", "merge_shard_states", "sum_estimates"]
 
 
 def merge_shard_states(
@@ -66,6 +67,21 @@ def merge_shard_states(
                 union[item] = union.get(item, 0.0) + float(count)
         total += float(shard_total)
     return union, total
+
+
+def sum_estimates(shard_results: Iterable[EstimateWithError]) -> EstimateWithError:
+    """The shard-order sum of per-shard subset sums (or totals).
+
+    Over disjoint shards the estimates add, and — the shards being
+    independent sketches — so do their Eq. 5 variances.  Plain float
+    ``+`` in shard order, so every caller gets the same bits.
+    """
+    estimate = 0.0
+    variance = 0.0
+    for result in shard_results:
+        estimate += result.estimate
+        variance += result.variance
+    return EstimateWithError(estimate=estimate, variance=variance)
 
 
 class ShardedSketch(SerializableSketch):
@@ -179,16 +195,18 @@ class ShardedSketch(SerializableSketch):
 
         The batch is pre-aggregated globally so the routing hash runs once
         per *distinct* item; each shard then ingests its already-unique
-        slice without collapsing it again.  Query answers are identical to
+        slice without collapsing it again.  A batch with a weight the
+        shards refuse is refused whole.  Query answers are identical to
         feeding the same collapsed pairs through :meth:`update` row by row.
         """
         unique, collapsed, row_count, total = collapse_batch(items, weights)
         if not unique:
             return self
-        partitions = hash_partition_batch(
-            unique, collapsed, self._num_shards, seed=self._hash_seed
+        self._shards[0]._checked_weights(collapsed)
+        slices = scatter_batch(
+            unique, collapsed, None, self._num_shards, seed=self._hash_seed
         )
-        for sketch, (shard_items, shard_weights) in zip(self._shards, partitions):
+        for sketch, (shard_items, shard_weights, _) in zip(self._shards, slices):
             if shard_items:
                 sketch._ingest_collapsed(
                     shard_items,
@@ -233,23 +251,26 @@ class ShardedSketch(SerializableSketch):
     def subset_sum_with_error(self, predicate: ItemPredicate) -> EstimateWithError:
         """Subset sum with variance: shard estimates are independent, so
         their equation-5 variance estimates add."""
-        estimate = 0.0
-        variance = 0.0
-        for shard in self._shards:
-            shard_result = shard.subset_sum_with_error(predicate)
-            estimate += shard_result.estimate
-            variance += shard_result.variance
-        return EstimateWithError(estimate=estimate, variance=variance)
+        return sum_estimates(
+            shard.subset_sum_with_error(predicate) for shard in self._shards
+        )
 
     def top_k(self, k: int) -> List[Tuple[Item, float]]:
-        """The ``k`` largest estimated counts across the ensemble."""
-        return ranked_pairs(self.estimates(), k=check_k(k))
+        """The ``k`` largest estimated counts: the shards are disjoint, so
+        the union of each shard's own top ``k`` holds them."""
+        k = check_k(k)
+        bins, _ = merge_shard_states(
+            [(dict(shard.top_k(k)), 0.0) for shard in self._shards]
+        )
+        return ranked_pairs(bins, k=k)
 
     def heavy_hitters(self, phi: float) -> Dict[Item, float]:
-        """Items at or above relative frequency ``phi`` of the *global* weight."""
-        return dict(
-            ranked_pairs(self.estimates(), threshold=check_phi(phi) * self._total_weight)
+        """Items at or above relative frequency ``phi`` of the summed shard
+        totals, the *global* weight."""
+        bins, total = merge_shard_states(
+            [(shard.estimates(), shard.total_estimate()) for shard in self._shards]
         )
+        return dict(ranked_pairs(bins, threshold=check_phi(phi) * total))
 
     def total_estimate(self) -> float:
         """Exact total ingested weight (each shard preserves its total)."""

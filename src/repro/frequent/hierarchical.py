@@ -137,11 +137,12 @@ class HierarchicalHeavyHitters:
         """Prefixes heavy after discounting their heavy descendants.
 
         A prefix is reported when its estimated count, minus the counts of
-        its already-reported descendants, still exceeds ``phi`` times the
-        total — the standard discounted definition of hierarchical heavy
+        its already-reported descendants, still reaches ``phi`` times the
+        ingested weight — the threshold :meth:`heavy_prefixes` applies —
+        under the standard discounted definition of hierarchical heavy
         hitters, evaluated bottom-up.
         """
-        threshold = check_phi(phi) * max(1.0, float(self._rows_processed))
+        threshold = check_phi(phi) * self._sketches[0].total_weight
         reported: Dict[Path, float] = {}
         # Evaluate from the deepest level upward so descendants are known.
         for level in reversed(range(self._depth)):

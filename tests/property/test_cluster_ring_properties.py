@@ -182,20 +182,20 @@ def test_scatter_over_arrays_matches_per_row_placement(column, shards, seed, col
 
 
 def test_placement_memo_is_bounded_and_keeps_twins_apart(monkeypatch):
-    from repro.cluster import shard_session
+    from repro.distributed import partition
 
-    monkeypatch.setattr(shard_session, "_PLACEMENT_LIMIT", 8)
+    monkeypatch.setattr(partition, "_PLACEMENT_LIMIT", 8)
 
     def held():
-        return sum(map(len, shard_session._placements.values()))
+        return sum(map(len, partition._placements.values()))
 
     labels = [1, 1.0, True, 0.0, -0.0, 0, False, "1", (1,)]
     for seed in (0, 7):
-        placed = shard_session._place(labels, 5, seed)
+        placed = partition._place(labels, 5, seed)
         assert placed == [stable_shard(label, 5, seed=seed) for label in labels]
         assert held() <= 8
     for start in range(0, 100, 10):
         batch = list(range(start, start + 10))
-        placed = shard_session._place(batch, 3, 1, keys=batch)
+        placed = partition._place(batch, 3, 1, keys=batch)
         assert placed == [stable_shard(v, 3, seed=1) for v in batch]
         assert held() <= 8

@@ -25,7 +25,7 @@ from repro.core.batching import collapse_batch
 from repro.core.deterministic_space_saving import DeterministicSpaceSaving
 from repro.core.merge import merge_many_unbiased
 from repro.core.unbiased_space_saving import UnbiasedSpaceSaving
-from repro.distributed.partition import hash_partition_batch, stable_shard
+from repro.distributed.partition import scatter_batch, stable_shard
 from repro.distributed.sharded import ShardedSketch
 from repro.errors import InvalidParameterError, UnsupportedUpdateError
 from repro.core.base import FrequentItemSketch
@@ -376,11 +376,11 @@ class TestShardedSketch:
     def manual_shards(self, batch_workload, batch_seed):
         """Per-shard sketches built by hand with the same routing and seeds."""
         unique, collapsed, _, __ = collapse_batch(batch_workload)
-        parts = hash_partition_batch(
-            unique, collapsed, self.NUM_SHARDS, seed=batch_seed
+        parts = scatter_batch(
+            unique, collapsed, None, self.NUM_SHARDS, seed=batch_seed
         )
         shards = []
-        for index, (items, weights) in enumerate(parts):
+        for index, (items, weights, _) in enumerate(parts):
             shard = UnbiasedSpaceSaving(self.CAPACITY, seed=batch_seed + index)
             shard.update_batch(items, weights)
             shards.append(shard)

@@ -175,6 +175,21 @@ class TestHierarchicalHeavyHitters:
         # The parent's discounted count (50 - 40 = 10) is below 25% of 50.
         assert ("net",) not in reported or reported[("net",)] < 0.5 * 50
 
+    def test_hierarchical_threshold_is_phi_of_the_ingested_weight(self):
+        """Weighted rows: the threshold is phi times the weight, not the
+        row count, so the deepest level agrees with ``heavy_prefixes``."""
+        hhh = HierarchicalHeavyHitters(depth=2, capacity=16, seed=0)
+        hhh.update(("a", "x"), 10.0)
+        for _ in range(9):
+            hhh.update(("b", "y"), 1.0)
+        # 19 units of weight over 10 rows.
+        for phi in (0.6, 0.5, 0.4):
+            reported = hhh.hierarchical_heavy_hitters(phi)
+            deepest = {path: count for path, count in reported.items() if len(path) == 2}
+            assert deepest == hhh.heavy_prefixes(1, phi)
+        assert hhh.hierarchical_heavy_hitters(0.6) == {}
+        assert hhh.hierarchical_heavy_hitters(0.5) == {("a", "x"): 10.0}
+
     def test_rollup(self):
         hhh = HierarchicalHeavyHitters(depth=2, capacity=16, seed=3)
         hhh.update(("a", "x"))

@@ -18,7 +18,7 @@ import pytest
 from repro.core.merge import merge_many_unbiased
 from repro.core.base import ranked_pairs
 from repro.distributed.sharded import ShardedSketch, merge_shard_states
-from repro.errors import InvalidParameterError
+from repro.errors import InvalidParameterError, UnsupportedUpdateError
 from repro.io import load_bytes
 
 SEED = 20180618
@@ -111,6 +111,22 @@ class TestIngestion:
         for index, (left, right) in enumerate(zip(scalar.shards, batched.shards)):
             assert set(left.estimates()) == set(right.estimates())
             assert all(scalar.shard_index(item) == index for item in left.estimates())
+
+    def test_a_refused_batch_changes_no_shard(self):
+        """A weight the shards refuse fails the whole batch before any
+        shard applies its slice: bins, totals and counters stay put."""
+        sharded = ShardedSketch(8, NUM_SHARDS, seed=0)
+        sharded.update_batch(["a", "b"])
+        before = sharded.to_bytes()
+        labels = [f"k{i}" for i in range(12)]
+        weights = [1.0] * 12
+        weights[0] = -1.0
+        # The bad label sits on the last shard, after every other slice.
+        assert sharded.shard_index("k0") == NUM_SHARDS - 1
+        with pytest.raises(UnsupportedUpdateError):
+            sharded.update_batch(labels, weights)
+        assert sharded.to_bytes() == before
+        assert sharded.total_estimate() == sharded.total_weight == 2.0
 
     def test_empty_batch_is_a_noop(self):
         sharded = ShardedSketch(8, 2, seed=0)
