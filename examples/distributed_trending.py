@@ -18,8 +18,7 @@ from __future__ import annotations
 
 import random
 
-from repro import UnbiasedSpaceSaving, merge_many_unbiased
-from repro.core.decay import ForwardDecaySketch, exponential_decay
+from repro import DecayedWindowSketch, UnbiasedSpaceSaving, merge_many_unbiased
 
 
 def simulate_region_stream(region: str, num_events: int, seed: int) -> list:
@@ -71,7 +70,7 @@ def main() -> None:
     # 3. Trending topics with forward decay: a topic bursting *now* should
     #    outrank a bigger topic whose activity is old.
     # ------------------------------------------------------------------
-    trending = ForwardDecaySketch(capacity=200, decay=exponential_decay(0.002), seed=3)
+    trending = DecayedWindowSketch(200, policy="decay:exp:0.002", seed=3)
     undecayed = UnbiasedSpaceSaving(capacity=200, seed=4)
     rng = random.Random(99)
 

@@ -66,7 +66,6 @@ from repro.core import (
     AdaptiveUnbiasedSpaceSaving,
     DeterministicSpaceSaving,
     EstimateWithError,
-    ForwardDecaySketch,
     GeneralizedSpaceSaving,
     SignedUnbiasedSpaceSaving,
     UnbiasedSpaceSaving,
@@ -100,7 +99,6 @@ __all__ = [
     "DeterministicSpaceSaving",
     "EstimateWithError",
     "FileTailSource",
-    "ForwardDecaySketch",
     "GeneralizedSpaceSaving",
     "HashRing",
     "LogSource",

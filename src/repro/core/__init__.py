@@ -4,14 +4,14 @@ The primary public entry point is
 :class:`~repro.core.unbiased_space_saving.UnbiasedSpaceSaving`; the rest of
 the subpackage supplies the baseline Deterministic Space Saving sketch, the
 columnar counter store, pluggable reductions, merges, variance estimation,
-time decay, adaptive sizing and signed updates.
+adaptive sizing and signed updates.  Time decay lives in
+:mod:`repro.windows.decayed`.
 """
 
 from repro.core.adaptive import AdaptiveUnbiasedSpaceSaving
 from repro.core.batching import collapse_batch, collapse_batch_arrays
 from repro.core.base import FrequentItemSketch, SubsetSumSketch
 from repro.core.columnar import ColumnarCounterStore, available_kernels, resolve_kernel_name
-from repro.core.decay import ForwardDecaySketch, exponential_decay, polynomial_decay
 from repro.core.deterministic_space_saving import DeterministicSpaceSaving
 from repro.core.merge import (
     combine_estimates,
@@ -45,9 +45,6 @@ __all__ = [
     "resolve_kernel_name",
     "FrequentItemSketch",
     "SubsetSumSketch",
-    "ForwardDecaySketch",
-    "exponential_decay",
-    "polynomial_decay",
     "DeterministicSpaceSaving",
     "combine_estimates",
     "merge_many_unbiased",

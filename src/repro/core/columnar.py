@@ -366,6 +366,17 @@ class ColumnarCounterStore:
         self._index = index
         self._free = list(range(self._capacity - 1, n - 1, -1))
 
+    def scale(self, factor: float) -> None:
+        """Multiply every bin count (and tracked error) by ``factor`` >= 0.
+
+        Labels, slots and priorities stay put, so a minimum contest picks
+        the same bin before and after a common rescale.
+        """
+        slots = self._slots()
+        self._counts[slots] *= factor
+        if self._errors is not None:
+            self._errors[slots] *= factor
+
     # -- acquisition errors (Deterministic Space Saving) ------------------
     def acquisition_error(self, item: Item) -> float:
         """The tracked acquisition error for ``item`` (0 when absent)."""

@@ -155,6 +155,19 @@ class SpaceSaving(FrequentItemSketch, SerializableSketch):
         self._total_weight += total
         return self
 
+    def scale(self, factor: float) -> None:
+        """Multiply every bin and the total weight by ``factor`` >= 0.
+
+        The contest rule compares an arriving weight with a bin count, so
+        a stream whose past and future weights share one scale keeps the
+        sketch's distribution — the forward-decay landmark re-base of
+        :mod:`repro.windows.decayed`.  Counts that underflow read 0.
+        """
+        if not (factor >= 0 and np.isfinite(factor)):
+            raise InvalidParameterError("scale factor must be finite and non-negative")
+        self._store.scale(factor)
+        self._total_weight *= factor
+
     # ------------------------------------------------------------------
     # Point queries
     # ------------------------------------------------------------------

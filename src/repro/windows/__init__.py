@@ -8,8 +8,8 @@ ring of per-pane sketches, and a windowed query is a pane merge.
 * :class:`TumblingWindowSketch` / :class:`SlidingWindowSketch` — the pane
   ring over any registered point-capable spec (Unbiased Space Saving by
   default).
-* :class:`DecayedWindowSketch` — continuous forward decay (§5.3) refitted
-  behind the same surface.
+* :class:`DecayedWindowSketch` — continuous forward decay (§5.3) behind
+  the same surface.
 * :class:`WindowPolicy` and :func:`parse_window_policy` — the
   ``"tumbling:60s"`` / ``"sliding:5m/30s"`` / ``"decay:exp:0.01"`` spec
   strings accepted by :func:`repro.build`'s ``window=`` parameter.

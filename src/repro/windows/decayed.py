@@ -1,36 +1,71 @@
-"""Forward decay refit behind the :class:`~repro.windows.policy.WindowPolicy` surface.
+"""Time-decayed Unbiased Space Saving by forward decay (§5.3 extension).
 
-:class:`~repro.core.decay.ForwardDecaySketch` (the §5.3 extension)
-predates the windows subsystem and speaks its own dialect —
-``update(item, timestamp, weight)``, ``decayed_estimate(item, at_time)``.
-:class:`DecayedWindowSketch` refits it behind the same surface the pane
-ring classes expose (``update(item, weight=1.0, timestamp=None)``,
-``estimates()``, ``subset_sum_with_error()``, ``heavy_hitters()``), so
+Forward decay (Cormode, Shkapenyuk, Srivastava and Xu, 2009) favours
+recent activity without rescaling old counters: a row with timestamp
+``t`` is ingested with weight ``w · g(t − L)`` for a landmark ``L`` and
+the non-decreasing ``g`` of a :class:`~repro.windows.policy.DecayPolicy`,
+and a query at time ``t`` divides by ``g(t − L)``.  The decay is a
+deterministic reweighting of the stream, so the Unbiased Space Saving
+sketch underneath keeps every decayed subset sum unbiased.
+
+:class:`DecayedWindowSketch` answers behind the surface of the pane ring
+classes (``update(item, weight=1.0, timestamp=None)``, ``estimates()``,
+``subset_sum_with_error()``, ``heavy_hitters()``), so
 ``repro.build(spec, window="decay:exp:0.01")`` sessions are drop-in
 interchangeable with tumbling/sliding ones: same ingestion calls, same
 query names, continuous down-weighting instead of hard expiry.
 
-Unlike the raw decay sketch, the adapter is *serializable*: the decay
-function is reconstructed from the policy string (``"decay:exp:0.01"``),
-so checkpoints carry no code — only the policy, the landmark and the
-underlying Unbiased Space Saving state.
+Landmark re-basing
+------------------
+Exponential decay ``g(a) = exp(rate · a)`` leaves the float range once
+``rate · (t − L)`` passes ~709: 8.2 days of stream at rate 0.001.  Before
+a batch would push ``rate · (t − L)`` past :data:`REBASE_EXPONENT`, the
+landmark moves to the batch's newest timestamp ``L′`` and every bin and
+the total are divided by ``g(L′ − L)``.  The contest depends only on
+ratios of weight to count, so the common scale leaves the sketch's
+distribution unchanged.  Because ``g`` of a negative age is below 1,
+exponential decay accepts rows older than the landmark; polynomial decay
+``max(t − L, 0) ** p`` never re-bases and needs ``t ≥ L``.
+
+Checkpoints carry no code — only the policy string, the landmark and the
+underlying Unbiased Space Saving frame.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from repro._typing import Item, ItemPredicate
 from repro.api.protocols import HEAVY_HITTERS, POINT, SERIALIZE, SUBSET_SUM
-from repro.core.base import check_phi, ranked_pairs
-from repro.core.decay import ForwardDecaySketch
+from repro.core.base import check_k, check_phi, ranked_pairs
+from repro.core.unbiased_space_saving import UnbiasedSpaceSaving
 from repro.core.variance import EstimateWithError
 from repro.errors import InvalidParameterError
 from repro.io.serializable import SerializableSketch
 
 __all__ = ["DecayedWindowSketch"]
+
+#: Exponential decay re-bases the landmark before ``rate · (t − L)``
+#: exceeds this, keeping bins below e**64 and the Eq. 5 variance,
+#: which squares N̂_min, below e**128.
+REBASE_EXPONENT = 64.0
+
+
+def _column(values, count: int, default: float, name: str) -> np.ndarray:
+    """``values`` as a float64 column of ``count`` rows (``default`` if None)."""
+    if values is None:
+        return np.full(count, default, dtype=np.float64)
+    column = np.asarray(
+        values if isinstance(values, np.ndarray) else list(values), dtype=np.float64
+    )
+    if column.shape != (count,):
+        raise InvalidParameterError(
+            f"{name} has {column.size} entries for {count} items"
+        )
+    return column
 
 
 class DecayedWindowSketch(SerializableSketch):
@@ -44,7 +79,9 @@ class DecayedWindowSketch(SerializableSketch):
         A :class:`~repro.windows.policy.DecayPolicy` (or its spec string,
         e.g. ``"decay:exp:0.01"``).
     landmark:
-        Forward-decay landmark time ``L``; rows must not precede it.
+        Initial forward-decay landmark time ``L``.  Exponential decay
+        moves it forward as the stream advances; polynomial decay keeps
+        it and refuses rows before it.
     seed:
         Seed for the underlying sketch.
 
@@ -72,12 +109,13 @@ class DecayedWindowSketch(SerializableSketch):
             raise InvalidParameterError(
                 f"DecayedWindowSketch needs a decay policy; got {parsed.describe()!r}"
             )
+        if not math.isfinite(landmark):
+            raise InvalidParameterError(f"landmark must be finite; got {landmark!r}")
         self._policy = parsed
-        self._decay = parsed.decay_function()
         self._seed = seed
-        self._sketch = ForwardDecaySketch(
-            size, decay=self._decay, landmark=landmark, seed=seed
-        )
+        self._sketch = UnbiasedSpaceSaving(size, seed=seed)
+        self._landmark = float(landmark)
+        self._latest_timestamp = float(landmark)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -89,34 +127,29 @@ class DecayedWindowSketch(SerializableSketch):
 
     @property
     def landmark(self) -> float:
-        """The forward-decay landmark time ``L``."""
-        return self._sketch.landmark
+        """The current forward-decay landmark time ``L``."""
+        return self._landmark
 
     @property
     def latest_timestamp(self) -> float:
         """Largest timestamp ingested so far (the default query time)."""
-        return self._sketch.latest_timestamp
+        return self._latest_timestamp
 
     @property
     def rows_processed(self) -> int:
         """Raw rows ingested."""
-        return self._sketch.underlying_sketch.rows_processed
+        return self._sketch.rows_processed
 
     @property
     def total_weight(self) -> float:
         """Total *decayed* ingest weight held by the underlying sketch.
 
         Forward decay stores ``weight * g(t - L)`` per row, so this is the
-        exact un-normalized decayed stream total — divide by
-        ``g(now - L)`` (what :meth:`total_estimate` does) for the decayed
-        total at query time.
+        exact un-normalized decayed stream total at the current landmark —
+        divide by ``g(now - L)`` (what :meth:`total_estimate` does) for
+        the decayed total at query time.
         """
-        return self._sketch.underlying_sketch.total_weight
-
-    @property
-    def underlying_sketch(self) -> ForwardDecaySketch:
-        """The wrapped :class:`ForwardDecaySketch` (full decay-native surface)."""
-        return self._sketch
+        return self._sketch.total_weight
 
     def window_policy(self):
         """The :class:`~repro.windows.policy.DecayPolicy` in force."""
@@ -145,9 +178,15 @@ class DecayedWindowSketch(SerializableSketch):
     def update(
         self, item: Item, weight: float = 1.0, timestamp: Optional[float] = None
     ) -> None:
-        """Ingest one row; ``timestamp=None`` means "now" (the latest seen)."""
-        at = self.latest_timestamp if timestamp is None else float(timestamp)
-        self._sketch.update(item, timestamp=at, weight=weight)
+        """Ingest one row; ``timestamp=None`` means "now" (the latest seen).
+
+        The row is decayed and checked as a one-row batch; the kernel's
+        scalar apply is draw-for-draw identical to a one-row batch apply.
+        """
+        timestamps = None if timestamp is None else [timestamp]
+        decayed, newest = self._decay(1, [weight], timestamps)
+        self._sketch.update(item, float(decayed[0]))
+        self._latest_timestamp = max(self._latest_timestamp, newest)
 
     def update_batch(
         self,
@@ -155,55 +194,63 @@ class DecayedWindowSketch(SerializableSketch):
         weights: Optional[Iterable[float]] = None,
         timestamps: Optional[Iterable[float]] = None,
     ) -> "DecayedWindowSketch":
-        """Batched ingestion: decay the weights vectorized, then bulk-update.
+        """Ingest rows with ingest weight ``weight * g(timestamp - landmark)``.
 
-        Each row's ingest weight is ``weight * g(timestamp - landmark)``,
-        computed in one vectorized pass (``np.exp`` / ``np.power`` from
-        the policy, matching :func:`repro.core.decay.exponential_decay` /
-        :func:`polynomial_decay` pointwise), after which the underlying
-        sketch's own ``update_batch`` collapse path applies — a collapsed
-        decayed batch is still a valid weighted stream, so unbiasedness is
-        preserved.
+        The weights are decayed in one vectorized pass, then the underlying
+        sketch's collapse path applies (a collapsed decayed batch is still
+        a valid weighted stream, so unbiasedness is preserved).  Missing
+        timestamps mean "now".
+
+        Raises
+        ------
+        InvalidParameterError
+            If a timestamp is not finite, precedes the landmark under
+            polynomial decay, or a row's decayed weight is not positive
+            and finite.  A refused batch leaves the sketch unchanged.
         """
         item_list = items if isinstance(items, (list, np.ndarray)) else list(items)
-        count = len(item_list)
-        if count == 0:
+        if len(item_list) == 0:
             return self
-        if timestamps is None:
-            ts = np.full(count, self.latest_timestamp, dtype=np.float64)
-        else:
-            ts = np.asarray(
-                timestamps if isinstance(timestamps, np.ndarray) else list(timestamps),
-                dtype=np.float64,
-            )
-        if np.any(ts < self.landmark):
-            raise InvalidParameterError(
-                f"timestamps must not precede the landmark {self.landmark}"
-            )
-        base = (
-            np.ones(count, dtype=np.float64)
-            if weights is None
-            else np.asarray(
-                weights if isinstance(weights, np.ndarray) else list(weights),
-                dtype=np.float64,
-            )
-        )
-        ages = ts - self.landmark
-        if self._policy.kind == "exp":
-            factors = np.exp(self._policy.rate * ages)
-        else:
-            factors = np.power(np.maximum(ages, 0.0), self._policy.rate)
-        decayed = base * factors
-        if np.any(decayed <= 0):
-            raise InvalidParameterError(
-                "decay produced a non-positive ingest weight; polynomial decay "
-                "requires timestamps strictly after the landmark"
-            )
-        self._sketch.underlying_sketch.update_batch(item_list, decayed)
-        newest = float(ts.max())
-        if newest > self._sketch.latest_timestamp:
-            self._sketch._latest_timestamp = newest
+        decayed, newest = self._decay(len(item_list), weights, timestamps)
+        self._sketch.update_batch(item_list, decayed)
+        self._latest_timestamp = max(self._latest_timestamp, newest)
         return self
+
+    def _decay(self, count: int, weights, timestamps) -> Tuple[np.ndarray, float]:
+        """Checked ingest weights of ``count`` rows and their newest timestamp.
+
+        Re-bases the landmark first when the rows would push exponential
+        decay past :data:`REBASE_EXPONENT`; every check runs before that,
+        so a refused row changes nothing.
+        """
+        ts = _column(timestamps, count, self._latest_timestamp, "timestamps")
+        base = _column(weights, count, 1.0, "weights")
+        if not np.isfinite(ts).all():
+            raise InvalidParameterError("decay timestamps must be finite")
+        policy = self._policy
+        newest = float(ts.max())
+        landmark = self._landmark
+        if policy.kind == "poly":
+            if ts.min() < landmark:
+                raise InvalidParameterError(
+                    f"polynomial decay needs timestamps at or after the "
+                    f"landmark {landmark:g}"
+                )
+        elif policy.rate * (newest - landmark) > REBASE_EXPONENT:
+            landmark = newest
+        with np.errstate(over="ignore"):
+            decayed = base * policy.g(ts - landmark)
+        # One finite sum bounds every collapsed per-item sum as well.
+        if not (np.isfinite(decayed.sum()) and decayed.min() > 0):
+            raise InvalidParameterError(
+                "decayed ingest weights must be positive and finite: a weight "
+                "is not positive, a row is too old for the float range, or "
+                "polynomial decay met a row at the landmark"
+            )
+        if landmark != self._landmark:
+            self._sketch.scale(float(policy.g(self._landmark - landmark)))
+            self._landmark = landmark
+        return decayed, newest
 
     def extend(self, rows: Iterable) -> "DecayedWindowSketch":
         """Consume bare items, ``(item, weight)`` pairs or timestamped triples."""
@@ -216,49 +263,70 @@ class DecayedWindowSketch(SerializableSketch):
     # ------------------------------------------------------------------
     # Queries (decayed at the latest timestamp unless ``at_time`` given)
     # ------------------------------------------------------------------
+    def _normalizer(self, at_time: Optional[float]) -> float:
+        query_time = self._latest_timestamp if at_time is None else float(at_time)
+        if self._policy.kind == "poly" and query_time < self._landmark:
+            raise InvalidParameterError("query time precedes the landmark")
+        with np.errstate(over="ignore"):
+            normalizer = float(self._policy.g(query_time - self._landmark))
+        if not 0 < normalizer < math.inf:
+            raise InvalidParameterError(
+                f"decay normalizer at query time {query_time:g} is "
+                f"{normalizer:g}; it must be positive and finite"
+            )
+        return normalizer
+
     def estimate(self, item: Item, at_time: Optional[float] = None) -> float:
         """Decayed count estimate for one item."""
-        return self._sketch.decayed_estimate(item, at_time=at_time)
+        return self._sketch.estimate(item) / self._normalizer(at_time)
 
     def estimates(self, at_time: Optional[float] = None) -> Dict[Item, float]:
         """Decayed estimates for every retained item."""
-        return self._sketch.decayed_estimates(at_time=at_time)
+        normalizer = self._normalizer(at_time)
+        return {
+            item: count / normalizer for item, count in self._sketch.estimates().items()
+        }
 
     def subset_sum(
         self, predicate: ItemPredicate, at_time: Optional[float] = None
     ) -> float:
         """Unbiased decayed subset sum."""
-        return self._sketch.decayed_subset_sum(predicate, at_time=at_time)
+        return self._sketch.subset_sum(predicate) / self._normalizer(at_time)
 
     def subset_sum_with_error(
         self, predicate: ItemPredicate, at_time: Optional[float] = None
     ) -> EstimateWithError:
         """Decayed subset sum with the scaled equation-5 variance."""
-        return self._sketch.decayed_subset_sum_with_error(predicate, at_time=at_time)
+        normalizer = self._normalizer(at_time)
+        raw = self._sketch.subset_sum_with_error(predicate)
+        return EstimateWithError(
+            estimate=raw.estimate / normalizer,
+            variance=raw.variance / (normalizer * normalizer),
+        )
 
     def heavy_hitters(
         self, phi: float, at_time: Optional[float] = None
     ) -> Dict[Item, float]:
         """Items at or above decayed relative frequency ``phi``."""
         fraction = check_phi(phi)
-        decayed = self._sketch.decayed_estimates(at_time=at_time)
+        decayed = self.estimates(at_time)
         return dict(ranked_pairs(decayed, threshold=fraction * sum(decayed.values())))
 
     def top_k(
         self, k: int, at_time: Optional[float] = None
     ) -> List[Tuple[Item, float]]:
         """The ``k`` items with the largest decayed estimates."""
-        return list(self._sketch.top_k(k, at_time=at_time))
+        return ranked_pairs(self.estimates(at_time), k=check_k(k))
 
     def total_estimate(self, at_time: Optional[float] = None) -> float:
         """Exact decayed stream total (the preserved total, normalized)."""
-        return self._sketch.decayed_subset_sum(lambda item: True, at_time=at_time)
+        return self._sketch.total_estimate() / self._normalizer(at_time)
 
     # ------------------------------------------------------------------
     # Serialization (repro.io contract)
     # ------------------------------------------------------------------
     def _serial_state(self):
-        frame = self._sketch.underlying_sketch.to_bytes()
+        frame = self._sketch.to_bytes()
         meta = {
             "size": self.size,
             "policy": self._policy.describe(),
@@ -270,16 +338,12 @@ class DecayedWindowSketch(SerializableSketch):
 
     @classmethod
     def _from_serial_state(cls, meta, arrays):
-        from repro.core.unbiased_space_saving import UnbiasedSpaceSaving
-
         sketch = cls(
             int(meta["size"]),
             policy=meta["policy"],
             landmark=float(meta["landmark"]),
             seed=meta["seed"],
         )
-        sketch._sketch._sketch = UnbiasedSpaceSaving.from_bytes(
-            arrays["sketch"].tobytes()
-        )
-        sketch._sketch._latest_timestamp = float(meta["latest_timestamp"])
+        sketch._sketch = UnbiasedSpaceSaving.from_bytes(arrays["sketch"].tobytes())
+        sketch._latest_timestamp = float(meta["latest_timestamp"])
         return sketch

@@ -34,6 +34,8 @@ import re
 from dataclasses import dataclass
 from typing import Union
 
+import numpy as np
+
 from repro.errors import InvalidParameterError
 
 __all__ = [
@@ -196,13 +198,18 @@ class DecayPolicy(WindowPolicy):
         if self.rate < 0 or not math.isfinite(self.rate):
             raise InvalidParameterError("decay rate must be a non-negative number")
 
-    def decay_function(self):
-        """The forward-decay weight function ``g`` this policy names."""
-        from repro.core.decay import exponential_decay, polynomial_decay
+    def g(self, ages):
+        """The forward-decay weight ``g(a)`` of ages ``a = t − L``, elementwise.
 
+        ``exp(rate · a)`` or ``max(a, 0) ** rate``; overflow reads ``inf``.
+
+        >>> DecayPolicy("poly", 2.0).g([3.0, -1.0]).tolist()
+        [9.0, 0.0]
+        """
+        ages = np.asarray(ages, dtype=np.float64)
         if self.kind == "exp":
-            return exponential_decay(self.rate)
-        return polynomial_decay(self.rate)
+            return np.exp(self.rate * ages)
+        return np.power(np.maximum(ages, 0.0), self.rate)
 
     def describe(self) -> str:
         return f"decay:{self.kind}:{self.rate:g}"

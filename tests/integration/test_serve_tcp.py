@@ -27,7 +27,7 @@ from repro.errors import (
     ServerClosedError,
     SessionNotFoundError,
 )
-from repro.serve import SketchServer, TCPServeClient, restore_registry
+from repro.serve import ServeClient, SketchServer, TCPServeClient, restore_registry
 from repro.serve.client import RemoteServeError
 from repro.serve.checkpoint import MANIFEST_NAME
 from repro.streams import chunk_stream
@@ -165,6 +165,40 @@ class TestTCPProtocol:
         # t=150 expired the first pane out of the 2-minute horizon.
         assert sorted(estimates) == ["c"]
         assert info["window"] == "sliding:2m/1m"
+
+    @pytest.mark.parametrize("transport", ["inproc", "tcp"])
+    def test_decay_session_takes_epoch_timestamps(self, transport):
+        # rate · t = 1.76e6 overflows exp() unless the landmark re-bases.
+        async def scenario():
+            server = SketchServer()
+            if transport == "tcp":
+                host, port = await server.start_tcp("127.0.0.1", 0)
+                client = await TCPServeClient.connect(host, port)
+            else:
+                await server.start()
+                client = ServeClient(server)
+            try:
+                await client.create(
+                    "d", "unbiased_space_saving", size=8,
+                    window="decay:exp:0.001", seed=0,
+                )
+                enqueued = await client.update_batch(
+                    "d", ["a", "b"], timestamps=[1.76e9] * 2
+                )
+                flushed = await client.flush("d")
+                info = await client.info("d")
+                estimates = await client.estimates("d")
+                return enqueued, flushed, info, estimates
+            finally:
+                if transport == "tcp":
+                    await client.close()
+                await server.stop()
+
+        enqueued, flushed, info, estimates = run(scenario())
+        assert (enqueued, flushed) == (2, 2)
+        assert info["rows_processed"] == 2
+        assert info["serving"]["failed_batches"] == 0
+        assert estimates == {"a": 1.0, "b": 1.0}
 
     def test_remote_errors_map_to_local_classes(self):
         async def scenario():

@@ -1,98 +1,15 @@
-"""Unit tests for the §5.3 extensions: decay, adaptive sizing, signed updates."""
+"""Unit tests for the §5.3 extensions: adaptive sizing and signed updates.
+
+Time decay is tested with its sketch, in ``test_windows.py::TestDecayedWindow``.
+"""
 
 from __future__ import annotations
-
-import math
 
 import pytest
 
 from repro.core.adaptive import AdaptiveUnbiasedSpaceSaving
-from repro.core.decay import ForwardDecaySketch, exponential_decay, polynomial_decay
 from repro.core.weighted import SignedUnbiasedSpaceSaving, weighted_stream_to_unit_rows
 from repro.errors import InvalidParameterError
-
-
-class TestDecayFunctions:
-    def test_exponential_decay_monotone(self):
-        g = exponential_decay(0.5)
-        assert g(0.0) == 1.0
-        assert g(2.0) > g(1.0) > g(0.0)
-
-    def test_exponential_decay_rejects_negative_rate(self):
-        with pytest.raises(InvalidParameterError):
-            exponential_decay(-0.1)
-
-    def test_polynomial_decay(self):
-        g = polynomial_decay(2.0)
-        assert g(3.0) == 9.0
-        assert g(-1.0) == 0.0
-
-    def test_polynomial_decay_rejects_negative_exponent(self):
-        with pytest.raises(InvalidParameterError):
-            polynomial_decay(-1.0)
-
-
-class TestForwardDecaySketch:
-    def test_recent_items_weighted_more(self):
-        sketch = ForwardDecaySketch(capacity=8, decay=exponential_decay(0.2), seed=0)
-        sketch.update("old", timestamp=0.0)
-        sketch.update("new", timestamp=20.0)
-        assert sketch.decayed_estimate("new", at_time=20.0) > sketch.decayed_estimate(
-            "old", at_time=20.0
-        )
-
-    def test_equal_timestamps_equal_decayed_weight(self):
-        sketch = ForwardDecaySketch(capacity=8, decay=exponential_decay(0.3), seed=0)
-        sketch.update("a", timestamp=5.0)
-        sketch.update("b", timestamp=5.0)
-        assert sketch.decayed_estimate("a", at_time=5.0) == pytest.approx(
-            sketch.decayed_estimate("b", at_time=5.0)
-        )
-
-    def test_decayed_weight_of_single_row_is_exponential(self):
-        rate = 0.1
-        sketch = ForwardDecaySketch(capacity=4, decay=exponential_decay(rate), seed=0)
-        sketch.update("a", timestamp=3.0)
-        estimate = sketch.decayed_estimate("a", at_time=10.0)
-        assert estimate == pytest.approx(math.exp(-rate * 7.0))
-
-    def test_timestamp_before_landmark_rejected(self):
-        sketch = ForwardDecaySketch(
-            capacity=4, decay=exponential_decay(0.1), landmark=10.0
-        )
-        with pytest.raises(InvalidParameterError):
-            sketch.update("a", timestamp=5.0)
-
-    def test_non_positive_weight_rejected(self):
-        sketch = ForwardDecaySketch(capacity=4, decay=exponential_decay(0.1))
-        with pytest.raises(InvalidParameterError):
-            sketch.update("a", timestamp=1.0, weight=0.0)
-
-    def test_decayed_subset_sum_and_top_k(self):
-        sketch = ForwardDecaySketch(capacity=16, decay=exponential_decay(0.05), seed=1)
-        for timestamp in range(20):
-            sketch.update("steady", timestamp=float(timestamp))
-        for timestamp in range(15, 20):
-            sketch.update("rising", timestamp=float(timestamp))
-        top = sketch.top_k(2)
-        assert top[0][0] == "steady"
-        total = sketch.decayed_subset_sum(lambda item: True)
-        assert total > 0
-        with_error = sketch.decayed_subset_sum_with_error(lambda item: True)
-        assert with_error.estimate == pytest.approx(total)
-
-    def test_extend_accepts_two_and_three_tuples(self):
-        sketch = ForwardDecaySketch(capacity=4, decay=exponential_decay(0.1))
-        sketch.extend([("a", 1.0), ("b", 2.0, 3.0)])
-        assert sketch.underlying_sketch.rows_processed == 2
-
-    def test_query_before_landmark_rejected(self):
-        sketch = ForwardDecaySketch(
-            capacity=4, decay=exponential_decay(0.1), landmark=5.0
-        )
-        sketch.update("a", timestamp=6.0)
-        with pytest.raises(InvalidParameterError):
-            sketch.decayed_estimate("a", at_time=1.0)
 
 
 class TestAdaptiveUnbiasedSpaceSaving:

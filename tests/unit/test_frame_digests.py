@@ -19,6 +19,7 @@ from repro.core.deterministic_space_saving import DeterministicSpaceSaving
 from repro.core.merge import merge_unbiased
 from repro.core.unbiased_space_saving import UnbiasedSpaceSaving
 from repro.serve.tiering import demote_session
+from repro.windows.decayed import DecayedWindowSketch
 from repro.windows.windowed import SlidingWindowSketch
 
 
@@ -77,6 +78,30 @@ def _window_answers(spec: str):
     )
 
 
+def _decayed_sketch() -> DecayedWindowSketch:
+    """Exponential decay over ages 0..7 at rate 0.25: ``rate * age`` is
+    exact and far below the re-basing point, and ``exp`` of each such
+    argument rounds the same in numpy's vector kernels and in libm, so
+    the digests do not depend on the host's SIMD level."""
+    sketch = DecayedWindowSketch(48, policy="decay:exp:0.25", landmark=100.0, seed=9)
+    rows = _rows(8, n=3000, distinct=300)
+    ages = np.arange(rows.size) * 8 // rows.size
+    sketch.update_batch(rows, timestamps=100.0 + ages)
+    weights = np.random.default_rng(10).uniform(0.5, 2.0, size=1000)
+    timestamps = 100.0 + np.random.default_rng(11).integers(0, 8, size=1000)
+    sketch.update_batch(_rows(12, n=1000, distinct=300), weights, timestamps)
+    return sketch
+
+
+def _decayed_answers():
+    sketch = _decayed_sketch()
+    return (
+        list(sketch.estimates().items()),
+        sketch.top_k(5),
+        sketch.subset_sum_with_error(lambda label: label % 3 == 0),
+    )
+
+
 CASES = {
     "uss_frame": lambda: _sketch_frame("uss"),
     "dss_frame": lambda: _sketch_frame("dss"),
@@ -84,6 +109,8 @@ CASES = {
     "demoted_frame": _demoted_frame,
     "window_uss_answers": lambda: _window_answers("unbiased_space_saving"),
     "window_dss_answers": lambda: _window_answers("deterministic_space_saving"),
+    "decay_frame": lambda: _decayed_sketch().to_bytes(),
+    "decay_answers": _decayed_answers,
 }
 
 GOLDEN = {
@@ -93,6 +120,8 @@ GOLDEN = {
     "demoted_frame": "c4e0cb0935ff9303",
     "window_uss_answers": "e9360d465c861403",
     "window_dss_answers": "67eb2cb9676d19c2",
+    "decay_frame": "bdd869b16d205aba",
+    "decay_answers": "b3e4b980929acdb6",
 }
 
 

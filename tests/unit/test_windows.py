@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from repro.windows import (
     parse_duration,
     parse_window_policy,
 )
+from repro.windows import decayed as decayed_module
 
 
 # ----------------------------------------------------------------------
@@ -332,8 +335,6 @@ class TestDecayedWindow:
         sketch = DecayedWindowSketch(16, policy="decay:exp:0.1", seed=0)
         sketch.update("a", timestamp=5.0)
         sketch.update("b", timestamp=5.0)
-        import math
-
         assert sketch.total_estimate() == pytest.approx(2.0)  # queried at t=5
         # At a later query time both rows have aged 10 more seconds.
         assert sketch.total_estimate(at_time=15.0) == pytest.approx(
@@ -352,6 +353,179 @@ class TestDecayedWindow:
     def test_non_decay_policy_rejected(self):
         with pytest.raises(InvalidParameterError):
             DecayedWindowSketch(16, policy="tumbling:60s")
+
+    # -- the decay function g ------------------------------------------
+    def test_exponential_g_is_monotone(self):
+        g = DecayPolicy("exp", 0.5).g([0.0, 1.0, 2.0])
+        assert g[0] == 1.0
+        assert g[2] > g[1] > g[0]
+
+    def test_polynomial_g(self):
+        assert DecayPolicy("poly", 2.0).g([3.0, -1.0]).tolist() == [9.0, 0.0]
+
+    @pytest.mark.parametrize("kind, rate", [("exp", -0.1), ("poly", -1.0)])
+    def test_negative_rate_rejected(self, kind, rate):
+        with pytest.raises(InvalidParameterError):
+            DecayPolicy(kind, rate)
+
+    # -- decayed answers -------------------------------------------------
+    def test_equal_timestamps_equal_decayed_weight(self):
+        sketch = DecayedWindowSketch(8, policy="decay:exp:0.3", seed=0)
+        sketch.update("a", timestamp=5.0)
+        sketch.update("b", timestamp=5.0)
+        assert sketch.estimate("a", at_time=5.0) == pytest.approx(
+            sketch.estimate("b", at_time=5.0)
+        )
+
+    def test_decayed_weight_of_single_row_is_exponential(self):
+        sketch = DecayedWindowSketch(4, policy="decay:exp:0.1", seed=0)
+        sketch.update("a", timestamp=3.0)
+        assert sketch.estimate("a", at_time=10.0) == pytest.approx(math.exp(-0.7))
+
+    def test_subset_sum_and_top_k(self):
+        sketch = DecayedWindowSketch(16, policy="decay:exp:0.05", seed=1)
+        for timestamp in range(20):
+            sketch.update("steady", timestamp=float(timestamp))
+        for timestamp in range(15, 20):
+            sketch.update("rising", timestamp=float(timestamp))
+        top = sketch.top_k(2)
+        assert isinstance(top, list) and top[0][0] == "steady"
+        total = sketch.subset_sum(lambda item: True)
+        assert total > 0
+        with_error = sketch.subset_sum_with_error(lambda item: True)
+        assert with_error.estimate == pytest.approx(total)
+
+    def test_extend_takes_pairs_and_timestamped_triples(self):
+        sketch = DecayedWindowSketch(4, policy="decay:exp:0.1")
+        sketch.extend([("a", 1.0), ("b", 3.0, 2.0)])   # (item, weight, timestamp)
+        assert sketch.rows_processed == 2
+        assert sketch.estimate("b", at_time=2.0) == pytest.approx(3.0)
+
+    # -- the landmark --------------------------------------------------
+    def test_exp_decay_accepts_rows_before_the_landmark(self):
+        sketch = DecayedWindowSketch(4, policy="decay:exp:0.1", landmark=10.0)
+        sketch.update("a", timestamp=5.0)
+        assert sketch.estimate("a", at_time=10.0) == pytest.approx(math.exp(-0.5))
+        # Queries before the landmark are fine too.
+        assert sketch.estimate("a", at_time=5.0) == pytest.approx(1.0)
+
+    def test_poly_decay_refuses_rows_before_the_landmark(self):
+        sketch = DecayedWindowSketch(4, policy="decay:poly:2", landmark=10.0)
+        with pytest.raises(InvalidParameterError):
+            sketch.update("a", timestamp=5.0)
+
+    def test_poly_decay_refuses_queries_before_the_landmark(self):
+        sketch = DecayedWindowSketch(4, policy="decay:poly:1", landmark=5.0)
+        sketch.update("a", timestamp=6.0)
+        with pytest.raises(InvalidParameterError):
+            sketch.estimate("a", at_time=1.0)
+
+    # -- refusals leave the state byte-unchanged -----------------------
+    @pytest.mark.parametrize(
+        "policy, weights, timestamps",
+        [
+            ("decay:exp:0.1", [1.0, 0.0], [1.0, 2.0]),            # zero weight
+            ("decay:exp:0.1", [1.0, -2.0], [1.0, 2.0]),           # negative weight
+            ("decay:exp:0.1", [1.0, float("nan")], [1.0, 2.0]),   # NaN weight
+            ("decay:exp:0.1", [1.0, 1e308], [1.0, 50.0]),         # decays to inf
+            ("decay:exp:0.1", None, [1.0, float("nan")]),         # NaN timestamp
+            ("decay:exp:0.1", None, [1.0, float("inf")]),         # inf timestamp
+            ("decay:exp:0.1", None, [1.0, -1e4]),                 # underflows to 0
+            ("decay:exp:0.1", None, [1.0e9, 0.0]),                # 0 after re-base
+            ("decay:exp:0.1", None, [1.0]),                       # length mismatch
+            ("decay:poly:2", None, [5.0, 2.0]),                   # before landmark
+            ("decay:poly:2", None, [5.0, 3.0]),                   # g(0) = 0
+        ],
+    )
+    def test_refused_batch_leaves_state_unchanged(self, policy, weights, timestamps):
+        sketch = DecayedWindowSketch(8, policy=policy, landmark=3.0, seed=0)
+        sketch.update_batch(["x", "y"], timestamps=[4.0, 6.0])
+        before = sketch.to_bytes()
+        with pytest.raises(InvalidParameterError):
+            sketch.update_batch(["a", "b"], weights, timestamps)
+        assert sketch.to_bytes() == before
+
+    def test_refused_scalar_row_is_typed(self):
+        sketch = DecayedWindowSketch(8, policy="decay:exp:0.1", seed=0)
+        with pytest.raises(InvalidParameterError):
+            sketch.update("a", timestamp=float("nan"))
+        with pytest.raises(InvalidParameterError):
+            sketch.update("a", 0.0, timestamp=1.0)
+        assert sketch.rows_processed == 0
+
+    # -- landmark re-basing --------------------------------------------
+    def test_epoch_timestamp_ingests_through_build(self):
+        session = repro.build(
+            "unbiased_space_saving", size=8, window="decay:exp:0.001", seed=0
+        )
+        session.update("a", timestamp=1.76e9)
+        session.update("b", timestamp=1.76e9 + 100.0)
+        sketch = session.estimator
+        assert sketch.landmark == 1.76e9
+        assert session.estimates() == pytest.approx(
+            {"a": math.exp(-0.1), "b": 1.0}
+        )
+        assert sketch.total_estimate() == pytest.approx(1.0 + math.exp(-0.1))
+
+    def test_row_far_past_the_landmark_rebases(self):
+        sketch = DecayedWindowSketch(8, policy="decay:exp:0.01")
+        sketch.update("a", timestamp=71000.0)
+        assert sketch.landmark == 71000.0
+        assert sketch.estimates() == {"a": 1.0}
+        sketch.update("b", timestamp=71100.0)
+        assert sketch.estimates() == pytest.approx({"a": math.exp(-1.0), "b": 1.0})
+
+    def test_rebased_and_plain_sketches_agree(self, monkeypatch):
+        """Re-basing only rescales: the contest outcomes and every decayed
+        answer match a sketch that never re-bases, to rounding, as long as
+        the plain sketch's weights stay finite (rate · t ≤ 300 here)."""
+        rng = np.random.default_rng(4)
+        batches = []
+        for start in np.arange(0.0, 10_000.0, 500.0):
+            labels = (rng.zipf(1.3, size=400) % 150).astype(np.int64)
+            timestamps = np.sort(rng.uniform(start, start + 500.0, size=400))
+            timestamps[:20] -= 300.0   # late rows, some before the landmark
+            batches.append((labels, rng.uniform(0.5, 2.0, size=400), timestamps))
+
+        def drive():
+            sketch = DecayedWindowSketch(32, policy="decay:exp:0.03", seed=6)
+            for labels, weights, timestamps in batches:
+                sketch.update_batch(labels, weights, timestamps)
+            return sketch
+
+        rebased = drive()
+        monkeypatch.setattr(decayed_module, "REBASE_EXPONENT", math.inf)
+        plain = drive()
+        assert plain.landmark == 0.0 and rebased.landmark > 9000.0
+        assert rebased.rows_processed == plain.rows_processed
+        # The stored total is rescaled with the bins: still the exact sum.
+        assert rebased.total_weight == pytest.approx(
+            rebased.total_estimate(at_time=rebased.landmark), rel=1e-12
+        )
+        def subset(label):
+            return label % 2 == 0
+
+        for at_time in (None, 9_000.0, 10_200.0):
+            expected = plain.estimates(at_time)
+            assert list(rebased.estimates(at_time)) == list(expected)
+            assert rebased.estimates(at_time) == pytest.approx(expected, rel=1e-9)
+            got = rebased.subset_sum_with_error(subset, at_time)
+            want = plain.subset_sum_with_error(subset, at_time)
+            assert got.estimate == pytest.approx(want.estimate, rel=1e-9)
+            assert got.variance == pytest.approx(want.variance, rel=1e-9)
+            assert rebased.total_estimate(at_time) == pytest.approx(
+                plain.total_estimate(at_time), rel=1e-9
+            )
+
+    def test_rebased_round_trip(self):
+        sketch = DecayedWindowSketch(8, policy="decay:exp:0.01", seed=3)
+        sketch.update_batch(["a", "b"], timestamps=[1.0e6, 1.0e6 + 5.0])
+        restored = load_bytes(sketch.to_bytes())
+        assert restored.landmark == sketch.landmark == 1.0e6 + 5.0
+        assert restored.estimates() == sketch.estimates()
+        sketch.update("c", timestamp=2.0e6)
+        restored.update("c", timestamp=2.0e6)
+        assert restored.to_bytes() == sketch.to_bytes()
 
 
 # ----------------------------------------------------------------------
