@@ -8,7 +8,9 @@ aliases keep signatures readable without forcing a concrete key type.
 
 from __future__ import annotations
 
-from typing import Callable, Hashable, Iterable, Mapping, Tuple
+from typing import Callable, Hashable, Iterable, Mapping, Optional, Tuple, Union
+
+import numpy as np
 
 #: Any hashable key identifying the unit of analysis (user, ad, IP pair, ...).
 Item = Hashable
@@ -27,3 +29,6 @@ RowStream = Iterable[Item]
 
 #: An iterable of weighted rows.
 WeightedRowStream = Iterable[WeightedRow]
+
+#: An ``int`` seed, a generator used as it is, or ``None`` for fresh entropy.
+Seed = Optional[Union[int, np.random.Generator]]

@@ -59,6 +59,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.base import ranked_pairs
+from repro.core.batching import positive_weights
 from repro.errors import (
     ClusterError,
     InvalidParameterError,
@@ -964,6 +965,9 @@ class ClusterRouter(JsonLinesEndpoint):
                 timestamps=timestamps,
                 block=block,
             )
+        if weights is not None and len(weights):  # refused as the USS shards would
+            positive_weights(weights, lambda: InvalidParameterError(
+                "a sharded session takes finite positive weights; nothing was enqueued"))
         slices = scatter_batch(
             items, weights, timestamps, route.shards, seed=route.seed
         )

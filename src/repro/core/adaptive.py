@@ -10,19 +10,22 @@ resizes.  This module implements that extension on top of the
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Optional
 
-from repro._typing import Item, ItemPredicate
-from repro.core.base import SubsetSumSketch
-from repro.core.variance import EstimateWithError, subset_variance_estimate
+from repro._typing import Item
+from repro.core.reduction import GeneralizedSpaceSaving
 from repro.errors import InvalidParameterError
 from repro.sampling.varopt import varopt_reduce
 
 __all__ = ["AdaptiveUnbiasedSpaceSaving"]
 
 
-class AdaptiveUnbiasedSpaceSaving(SubsetSumSketch):
+class AdaptiveUnbiasedSpaceSaving(GeneralizedSpaceSaving):
     """Unbiased Space Saving with a dynamically adjustable bin budget.
+
+    A :class:`~repro.core.reduction.GeneralizedSpaceSaving` under the
+    pairwise unbiased reduction (applied in place), whose budget can grow
+    and shrink.
 
     Parameters
     ----------
@@ -60,7 +63,6 @@ class AdaptiveUnbiasedSpaceSaving(SubsetSumSketch):
             raise InvalidParameterError("growth_trigger must lie in (0, 1)")
         self._max_capacity = max_capacity
         self._growth_trigger = growth_trigger
-        self._bins: Dict[Item, float] = {}
         self._resize_events = 0
 
     # ------------------------------------------------------------------
@@ -119,32 +121,3 @@ class AdaptiveUnbiasedSpaceSaving(SubsetSumSketch):
     def resize_events(self) -> int:
         """Number of times the sketch has been resized (manually or automatically)."""
         return self._resize_events
-
-    # ------------------------------------------------------------------
-    # Queries
-    # ------------------------------------------------------------------
-    def estimate(self, item: Item) -> float:
-        return self._bins.get(item, 0.0)
-
-    def estimates(self) -> Dict[Item, float]:
-        return dict(self._bins)
-
-    @property
-    def min_count(self) -> float:
-        """Minimum bin count (0 while under capacity)."""
-        if len(self._bins) < self._capacity or not self._bins:
-            return 0.0
-        return min(self._bins.values())
-
-    def subset_sum_with_error(self, predicate: ItemPredicate) -> EstimateWithError:
-        """Subset sum with the equation-5 variance estimate."""
-        estimate = 0.0
-        in_subset = 0
-        for item, count in self._bins.items():
-            if predicate(item):
-                estimate += count
-                in_subset += 1
-        return EstimateWithError(
-            estimate=estimate,
-            variance=subset_variance_estimate(self.min_count, in_subset),
-        )

@@ -14,7 +14,6 @@ from __future__ import annotations
 import abc
 import math
 import numbers
-import random
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 from repro._typing import Item, ItemPredicate
@@ -92,11 +91,10 @@ class FrequentItemSketch(abc.ABC):
     hitters above a relative frequency threshold.
     """
 
-    def __init__(self, capacity: int, *, seed: Optional[int] = None) -> None:
+    def __init__(self, capacity: int) -> None:
         if capacity < 1:
             raise InvalidParameterError("capacity must be a positive integer")
         self._capacity = int(capacity)
-        self._rng = random.Random(seed)
         self._rows_processed = 0
         self._total_weight = 0.0
 

@@ -30,7 +30,7 @@ identical everywhere:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -43,6 +43,7 @@ __all__ = [
     "collapse_batch_arrays",
     "unit_rows",
     "iter_weighted_rows",
+    "positive_weights",
 ]
 
 #: ``(unique_items, collapsed_weights, row_count, total_weight)`` — the
@@ -220,6 +221,18 @@ def collapse_batch_arrays(
     else:
         weights_array = None
     return _collapse_numpy_core(items, weights_array)
+
+
+def positive_weights(weights, error: Callable[[], Exception]) -> np.ndarray:
+    """A non-empty weight column as float64; raises ``error()`` unless
+    every weight is finite and positive (the Space Saving weight rule)."""
+    column = np.ascontiguousarray(weights, dtype=np.float64)
+    # min() <= 0 alone would let NaN through (NaN comparisons are all
+    # false), and +inf would collide with the store's free-slot
+    # sentinel — require finite positive weights explicitly.
+    if not np.isfinite(column).all() or column.min() <= 0:
+        raise error()
+    return column
 
 
 def unit_rows(

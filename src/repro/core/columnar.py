@@ -82,14 +82,13 @@ outputs are bit-identical, not merely distributionally equal.
 from __future__ import annotations
 
 import os
-import random
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro._typing import Item
 from repro.errors import EmptySketchError, InvalidParameterError, SerializationError
-from repro.io.codec import decode_item, encode_item, rng_state_from_jsonable
+from repro.io.codec import decode_item, encode_item, generator_from_state
 
 __all__ = [
     "ColumnarCounterStore",
@@ -536,21 +535,17 @@ class ColumnarCounterStore:
         """Load the bins of a frame written by :meth:`frame` into this store.
 
         Frames of the retired scalar stores carry no ``priorities`` and
-        no kernel generator state.  For those the generator is seeded
-        from the frame's own Python RNG state and the priorities are
+        no kernel generator state.  For those the generator comes from
+        the frame's Mersenne Twister state through
+        :func:`~repro.io.codec.generator_from_state` and the priorities are
         drawn fresh, so loading stays deterministic: every count, label
         and error restores exactly, and continuation is unbiased though
         not draw-identical to the writer.  Bins that :meth:`load` refuses
         raise :class:`~repro.errors.SerializationError`.
         """
         priorities = arrays.get("priorities")
-        if priorities is None:
-            legacy_rng = random.Random()
-            legacy_rng.setstate(rng_state_from_jsonable(meta["rng_state"]))
-            state = np.random.PCG64(legacy_rng.getrandbits(128)).state
-        else:
-            state = meta["kernel_rng_state"]
-        self._generator.bit_generator.state = state
+        state = meta["rng_state"] if priorities is None else meta["kernel_rng_state"]
+        self._generator.bit_generator.state = generator_from_state(state).bit_generator.state
         try:
             self.load(
                 [decode_item(label) for label in meta["labels"]],

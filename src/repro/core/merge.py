@@ -18,10 +18,11 @@ answers queries over the union.  Two families of merges are provided:
 
 from __future__ import annotations
 
-import random
 from typing import Dict, Iterable, Optional
 
-from repro._typing import Item
+import numpy as np
+
+from repro._typing import Item, Seed
 from repro.core.deterministic_space_saving import DeterministicSpaceSaving
 from repro.core.unbiased_space_saving import UnbiasedSpaceSaving
 from repro.errors import IncompatibleSketchError, InvalidParameterError
@@ -53,7 +54,7 @@ def reduce_bins_unbiased(
     capacity: int,
     *,
     method: str = "pps",
-    rng: Optional[random.Random] = None,
+    rng: Optional[np.random.Generator] = None,
 ) -> Dict[Item, float]:
     """Shrink a bin map to ``capacity`` entries preserving expected counts.
 
@@ -68,7 +69,8 @@ def reduce_bins_unbiased(
         ``"poisson"`` (independent thresholded PPS — random output size), or
         ``"priority"`` (priority-sampling reduction).
     rng:
-        Random generator; pass a seeded one for reproducibility.
+        The ``np.random.Generator`` behind the reduction's draws; pass a
+        seeded one for reproducibility.
     """
     if capacity < 1:
         raise InvalidParameterError("capacity must be at least 1")
@@ -76,7 +78,7 @@ def reduce_bins_unbiased(
         raise InvalidParameterError(
             f"unknown method {method!r}; expected 'pps', 'poisson' or 'priority'"
         )
-    rng = rng or random.Random()
+    rng = np.random.default_rng(rng)
     positive = {item: count for item, count in bins.items() if count > 0}
     if len(positive) <= capacity:
         return dict(positive)
@@ -100,7 +102,7 @@ def merge_unbiased(
     *,
     capacity: Optional[int] = None,
     method: str = "pps",
-    seed: Optional[int] = None,
+    seed: Seed = None,
 ) -> UnbiasedSpaceSaving:
     """Merge two Unbiased Space Saving sketches into a new unbiased sketch.
 
@@ -121,7 +123,7 @@ def merge_many_unbiased(
     *,
     capacity: Optional[int] = None,
     method: str = "pps",
-    seed: Optional[int] = None,
+    seed: Seed = None,
 ) -> UnbiasedSpaceSaving:
     """Merge any number of Unbiased Space Saving sketches in one reduction.
 
@@ -143,14 +145,15 @@ def merge_many_unbiased(
         Reduction used to shrink the combined bins; see
         :func:`reduce_bins_unbiased`.
     seed:
-        Seed for the reduction's randomness and the merged sketch's.
+        Seed of the one generator behind the reduction's draws and then
+        the merged sketch's priorities and contests, in that order.
     """
     sketch_list = list(sketches)
     if not sketch_list:
         raise InvalidParameterError("merge_many_unbiased requires at least one sketch")
     if capacity is None:
         capacity = sketch_list[0].capacity
-    rng = random.Random(seed)
+    rng = np.random.default_rng(seed)
     combined = combine_estimates(sketch_list)
     reduced = reduce_bins_unbiased(combined, capacity, method=method, rng=rng)
     return UnbiasedSpaceSaving.from_bins(
@@ -158,7 +161,7 @@ def merge_many_unbiased(
         reduced,
         rows_processed=sum(s.rows_processed for s in sketch_list),
         total_weight=sum(s.total_weight for s in sketch_list),
-        seed=seed,
+        seed=rng,
     )
 
 

@@ -19,8 +19,9 @@ expressed and tested against the same machinery.
 from __future__ import annotations
 
 import abc
-import random
 from typing import Dict, Optional
+
+import numpy as np
 
 from repro._typing import Item
 from repro.core.base import SubsetSumSketch
@@ -48,7 +49,7 @@ class ReductionPolicy(abc.ABC):
         self,
         bins: Dict[Item, float],
         capacity: int,
-        rng: random.Random,
+        rng: np.random.Generator,
         newcomer: Item,
     ) -> Dict[Item, float]:
         """Return a new bin map with at most ``capacity`` entries.
@@ -60,7 +61,7 @@ class ReductionPolicy(abc.ABC):
         capacity:
             The bin budget ``m``.
         rng:
-            Random generator owned by the sketch.
+            The ``np.random.Generator`` owned by the sketch.
         newcomer:
             The item whose arrival triggered the reduction; the two pairwise
             policies use it to identify the freshly inserted bin.
@@ -91,7 +92,7 @@ class DeterministicPairReduction(ReductionPolicy):
         self,
         bins: Dict[Item, float],
         capacity: int,
-        rng: random.Random,
+        rng: np.random.Generator,
         newcomer: Item,
     ) -> Dict[Item, float]:
         new, other = _two_smallest(bins, newcomer)
@@ -116,7 +117,7 @@ class UnbiasedPairReduction(ReductionPolicy):
         self,
         bins: Dict[Item, float],
         capacity: int,
-        rng: random.Random,
+        rng: np.random.Generator,
         newcomer: Item,
     ) -> Dict[Item, float]:
         new, other = _two_smallest(bins, newcomer)
@@ -148,7 +149,7 @@ class PPSReduction(ReductionPolicy):
         self,
         bins: Dict[Item, float],
         capacity: int,
-        rng: random.Random,
+        rng: np.random.Generator,
         newcomer: Item,
     ) -> Dict[Item, float]:
         return varopt_reduce(bins, capacity, rng=rng)
@@ -178,7 +179,8 @@ class GeneralizedSpaceSaving(SubsetSumSketch):
         policy: Optional[ReductionPolicy] = None,
         seed: Optional[int] = None,
     ) -> None:
-        super().__init__(capacity, seed=seed)
+        super().__init__(capacity)
+        self._rng = np.random.default_rng(seed)
         self._policy = policy or UnbiasedPairReduction()
         self._bins: Dict[Item, float] = {}
 
@@ -194,9 +196,7 @@ class GeneralizedSpaceSaving(SubsetSumSketch):
         self._record_update(weight)
         self._bins[item] = self._bins.get(item, 0.0) + float(weight)
         if len(self._bins) > self._capacity:
-            self._bins = dict(
-                self._policy.reduce(self._bins, self._capacity, self._rng, item)
-            )
+            self._bins = self._policy.reduce(self._bins, self._capacity, self._rng, item)
 
     def add_aggregate(self, item: Item, count: float) -> None:
         """Add a pre-aggregated count for ``item`` (the §5.3 'arbitrary counts' case).
@@ -208,13 +208,7 @@ class GeneralizedSpaceSaving(SubsetSumSketch):
         """
         if count <= 0:
             raise InvalidParameterError("aggregate counts must be positive")
-        self._rows_processed += 1
-        self._total_weight += count
-        self._bins[item] = self._bins.get(item, 0.0) + float(count)
-        if len(self._bins) > self._capacity:
-            self._bins = dict(
-                self._policy.reduce(self._bins, self._capacity, self._rng, item)
-            )
+        self.update(item, count)
 
     def estimate(self, item: Item) -> float:
         return self._bins.get(item, 0.0)

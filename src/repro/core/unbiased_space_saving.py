@@ -27,13 +27,12 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from repro._typing import Item, ItemPredicate
+from repro._typing import Item, ItemPredicate, Seed
 from repro.core.base import FrequentItemSketch, SubsetSumSketch
-from repro.core.batching import collapse_batch, collapse_batch_arrays
+from repro.core.batching import collapse_batch, collapse_batch_arrays, positive_weights
 from repro.core.columnar import ColumnarCounterStore
 from repro.core.variance import EstimateWithError, subset_variance_estimate
 from repro.errors import InvalidParameterError, UnsupportedUpdateError
-from repro.io.codec import rng_state_from_jsonable, rng_state_to_jsonable
 from repro.io.serializable import SerializableSketch
 
 __all__ = ["SpaceSaving", "UnbiasedSpaceSaving"]
@@ -56,8 +55,9 @@ class SpaceSaving(FrequentItemSketch, SerializableSketch):
     capacity:
         Number of bins ``m``.
     seed:
-        Seed for the generator behind label contests and tie-breaks.
-        Fixing the seed makes a run fully reproducible.
+        Seed for the ``PCG64`` generator behind label contests and
+        tie-breaks (an ``np.random.Generator`` is used as it is).  Fixing
+        the seed makes a run fully reproducible.
     """
 
     #: Whether a newcomer always takes over the minimum bin's label.
@@ -65,11 +65,11 @@ class SpaceSaving(FrequentItemSketch, SerializableSketch):
     #: Whether the store keeps per-bin acquisition errors.
     track_errors = False
 
-    def __init__(self, capacity: int, *, seed: Optional[int] = None) -> None:
-        super().__init__(capacity, seed=seed)
+    def __init__(self, capacity: int, *, seed: Seed = None) -> None:
+        super().__init__(capacity)
         self._store = ColumnarCounterStore(
             self._capacity,
-            generator=np.random.Generator(np.random.PCG64(seed)),
+            generator=np.random.default_rng(seed),
             track_errors=self.track_errors,
         )
         #: label replacements performed (framed by the unbiased sketch only)
@@ -80,17 +80,6 @@ class SpaceSaving(FrequentItemSketch, SerializableSketch):
             f"{type(self).__name__} requires positive weights (finite); "
             "see repro.core.weighted for signed updates"
         )
-
-    def _checked_weights(self, collapsed) -> np.ndarray:
-        """A non-empty weight column as float64, refused unless every
-        weight is finite and positive."""
-        collapsed = np.ascontiguousarray(collapsed, dtype=np.float64)
-        # min() <= 0 alone would let NaN through (NaN comparisons are all
-        # false), and +inf would collide with the store's free-slot
-        # sentinel — require finite positive weights explicitly.
-        if not np.isfinite(collapsed).all() or collapsed.min() <= 0:
-            raise self._weight_error()
-        return collapsed
 
     # ------------------------------------------------------------------
     # Ingestion
@@ -147,7 +136,7 @@ class SpaceSaving(FrequentItemSketch, SerializableSketch):
         """
         if len(unique) == 0:
             return self
-        collapsed = self._checked_weights(collapsed)
+        collapsed = positive_weights(collapsed, self._weight_error)
         self._label_replacements += self._store.apply_batch(
             unique, collapsed, always_replace=self.always_replace
         )
@@ -192,12 +181,8 @@ class SpaceSaving(FrequentItemSketch, SerializableSketch):
         meta, arrays = self._store.frame()
         meta.update({
             "capacity": self._capacity,
-            # Readers of earlier versions select their store from these.
-            "store": "columnar",
-            "active_store": "columnar",
             "rows_processed": self._rows_processed,
             "total_weight": self._total_weight,
-            "rng_state": rng_state_to_jsonable(self._rng.getstate()),
         })
         return meta, arrays
 
@@ -207,7 +192,6 @@ class SpaceSaving(FrequentItemSketch, SerializableSketch):
         sketch._store.load_frame(meta, arrays)
         sketch._rows_processed = int(meta["rows_processed"])
         sketch._total_weight = float(meta["total_weight"])
-        sketch._rng.setstate(rng_state_from_jsonable(meta["rng_state"]))
         return sketch
 
 
@@ -222,7 +206,7 @@ class UnbiasedSpaceSaving(SpaceSaving, SubsetSumSketch):
     capacity:
         Number of bins ``m``.
     seed:
-        Seed for the internal random generator used for the randomized label
+        Seed for the ``PCG64`` generator used for the randomized label
         replacement and for breaking ties among minimum bins.  Fixing the
         seed makes a run fully reproducible.
 
@@ -247,7 +231,7 @@ class UnbiasedSpaceSaving(SpaceSaving, SubsetSumSketch):
         *,
         rows_processed: int = 0,
         total_weight: Optional[float] = None,
-        seed: Optional[int] = None,
+        seed: Seed = None,
     ) -> "UnbiasedSpaceSaving":
         """Build a sketch directly from ``(label, count)`` bins.
 
@@ -328,7 +312,7 @@ class UnbiasedSpaceSaving(SpaceSaving, SubsetSumSketch):
         *,
         capacity: Optional[int] = None,
         method: str = "pps",
-        seed: Optional[int] = None,
+        seed: Seed = None,
     ) -> "UnbiasedSpaceSaving":
         """Merge with another unbiased sketch into a new unbiased sketch.
 
@@ -349,8 +333,6 @@ class UnbiasedSpaceSaving(SpaceSaving, SubsetSumSketch):
     def _serial_state(self):
         meta, arrays = super()._serial_state()
         meta["label_replacements"] = self._label_replacements
-        # Keep the key order, and so the bytes, of earlier frames.
-        meta["rng_state"] = meta.pop("rng_state")
         return meta, arrays
 
     @classmethod

@@ -17,10 +17,11 @@ in-process:
 
 from __future__ import annotations
 
-import random
 from typing import Iterable, List, Optional, Sequence
 
-from repro._typing import Item, ItemPredicate
+import numpy as np
+
+from repro._typing import Item, ItemPredicate, Seed
 from repro.core.merge import merge_many_unbiased, merge_unbiased
 from repro.core.unbiased_space_saving import UnbiasedSpaceSaving
 from repro.core.variance import EstimateWithError
@@ -70,18 +71,19 @@ def tree_merge(
     *,
     capacity: Optional[int] = None,
     method: str = "pps",
-    seed: Optional[int] = None,
+    seed: Seed = None,
 ) -> UnbiasedSpaceSaving:
     """Merge sketches pairwise in a balanced tree.
 
     Each level halves the number of sketches; every pairwise merge is
     unbiased, so the root remains unbiased, but each level adds its own
     reduction noise — the trade-off against :func:`reduce_sketches` that the
-    ablation benchmark measures.
+    ablation benchmark measures.  Every merge draws from the one generator
+    built from ``seed``, which the root sketch then owns.
     """
     if not sketches:
         raise InvalidParameterError("at least one sketch is required")
-    rng = random.Random(seed)
+    rng = np.random.default_rng(seed)
     level = list(sketches)
     while len(level) > 1:
         next_level = []
@@ -92,7 +94,7 @@ def tree_merge(
                     level[index + 1],
                     capacity=capacity,
                     method=method,
-                    seed=rng.randrange(2**31),
+                    seed=rng,
                 )
             )
         if len(level) % 2 == 1:

@@ -36,7 +36,7 @@ import numpy as np
 
 from repro._typing import Item, ItemPredicate
 from repro.core.base import check_k, check_phi, ranked_pairs
-from repro.core.batching import collapse_batch, iter_weighted_rows
+from repro.core.batching import collapse_batch, iter_weighted_rows, positive_weights
 from repro.core.merge import merge_many_unbiased
 from repro.core.unbiased_space_saving import UnbiasedSpaceSaving
 from repro.core.variance import EstimateWithError
@@ -202,7 +202,7 @@ class ShardedSketch(SerializableSketch):
         unique, collapsed, row_count, total = collapse_batch(items, weights)
         if not unique:
             return self
-        self._shards[0]._checked_weights(collapsed)
+        positive_weights(collapsed, self._shards[0]._weight_error)
         slices = scatter_batch(
             unique, collapsed, None, self._num_shards, seed=self._hash_seed
         )

@@ -12,9 +12,10 @@ row per impression); see DESIGN.md §3 for the substitution rationale.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
+
+import numpy as np
 
 from repro.core.unbiased_space_saving import UnbiasedSpaceSaving
 from repro.query.marginals import marginal_cells, one_way_marginal, two_way_marginal
@@ -130,7 +131,7 @@ class MarginalEstimationExperiment:
             priority = PrioritySample(
                 {key: float(value) for key, value in exact_tuples.items()},
                 self.capacity,
-                rng=random.Random(trial_seed + 1),
+                rng=np.random.default_rng(trial_seed + 1),
             )
             sources = {
                 "unbiased_space_saving": sketch,

@@ -9,7 +9,6 @@ experiment classes only describe *what* varies.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
@@ -139,7 +138,7 @@ def draw_priority_sample(
     avoids.
     """
     counts = {item: float(count) for item, count in model.counts.items()}
-    return PrioritySample(counts, capacity, rng=random.Random(seed))
+    return PrioritySample(counts, capacity, rng=np.random.default_rng(seed))
 
 
 def random_item_subsets(
@@ -154,6 +153,7 @@ def random_item_subsets(
         raise InvalidParameterError("num_subsets and subset_size must be positive")
     if subset_size > model.num_items:
         raise InvalidParameterError("subset_size exceeds the number of items")
-    rng = random.Random(seed)
+    rng = np.random.default_rng(seed)
     items = model.items()
-    return [rng.sample(items, subset_size) for _ in range(num_subsets)]
+    picks = (rng.choice(len(items), subset_size, replace=False) for _ in range(num_subsets))
+    return [[items[i] for i in pick] for pick in picks]

@@ -63,7 +63,7 @@ class LossyCountingSketch(FrequentItemSketch, SerializableSketch):
         if not 0 < epsilon < 1:
             raise InvalidParameterError("epsilon must lie in (0, 1)")
         bucket_width = int(math.ceil(1.0 / epsilon))
-        super().__init__(capacity or bucket_width, seed=seed)
+        super().__init__(capacity or bucket_width)
         self._epsilon = epsilon
         self._bucket_width = bucket_width
         self._current_bucket = 1

@@ -52,7 +52,7 @@ class MisraGriesSketch(FrequentItemSketch, SerializableSketch):
     """
 
     def __init__(self, capacity: int, *, seed: Optional[int] = None) -> None:
-        super().__init__(capacity, seed=seed)
+        super().__init__(capacity)
         self._counters: Dict[Item, int] = {}
         self._decrements = 0
 

@@ -25,12 +25,7 @@ from repro._typing import Item
 from repro.core.base import FrequentItemSketch
 from repro.core.batching import unit_rows
 from repro.errors import InvalidParameterError, UnsupportedUpdateError
-from repro.io.codec import (
-    decode_item,
-    encode_item,
-    rng_state_from_jsonable,
-    rng_state_to_jsonable,
-)
+from repro.io.codec import decode_item, encode_item, generator_from_state
 from repro.io.serializable import SerializableSketch
 
 __all__ = ["StickySamplingSketch"]
@@ -70,7 +65,8 @@ class StickySamplingSketch(FrequentItemSketch, SerializableSketch):
         # t = (1/ε)·log(1/(support·δ)) rows per sampling "window"; the classic
         # presentation uses support = ε for the window size.
         window = int(math.ceil((1.0 / epsilon) * math.log(1.0 / (epsilon * delta))))
-        super().__init__(max(1, window), seed=seed)
+        super().__init__(max(1, window))
+        self._rng = np.random.default_rng(seed)
         self._epsilon = epsilon
         self._delta = delta
         self._window = max(1, window)
@@ -192,7 +188,7 @@ class StickySamplingSketch(FrequentItemSketch, SerializableSketch):
             "rows_processed": self._rows_processed,
             "total_weight": self._total_weight,
             "labels": [encode_item(item) for item in self._counters],
-            "rng_state": rng_state_to_jsonable(self._rng.getstate()),
+            "rng_state": self._rng.bit_generator.state,
         }
         counts = np.asarray(list(self._counters.values()), dtype=np.int64)
         return meta, {"counts": counts}
@@ -208,5 +204,5 @@ class StickySamplingSketch(FrequentItemSketch, SerializableSketch):
         sketch._next_rate_change = int(meta["next_rate_change"])
         sketch._rows_processed = int(meta["rows_processed"])
         sketch._total_weight = float(meta["total_weight"])
-        sketch._rng.setstate(rng_state_from_jsonable(meta["rng_state"]))
+        sketch._rng = generator_from_state(meta["rng_state"])
         return sketch

@@ -3,7 +3,7 @@
 Every serializable sketch reduces its state to two pieces:
 
 * ``meta`` — a JSON-safe dictionary of scalars, item labels and small
-  lists (configuration, counters, RNG state);
+  lists (configuration, counters, generator state);
 * ``arrays`` — named numpy arrays holding the bulky numeric state
   (counter values, CountMin/Count Sketch tables, rank vectors).
 
@@ -22,6 +22,8 @@ interchangeable representations:
 Both carry a ``schema_version`` field.  Readers accept any version up to
 :data:`SCHEMA_VERSION` (older layouts stay loadable as the format grows)
 and refuse newer ones with a clear error instead of misparsing them.
+Version 2 frames carry ``PCG64`` generator states only; the Mersenne Twister
+states of version 1 frames load through :func:`legacy_generator`.
 
 Item labels are arbitrary hashable Python values, so they travel in the
 JSON header through :func:`encode_item` / :func:`decode_item`, which
@@ -45,8 +47,8 @@ __all__ = [
     "MAGIC",
     "encode_item",
     "decode_item",
-    "rng_state_to_jsonable",
-    "rng_state_from_jsonable",
+    "legacy_generator",
+    "generator_from_state",
     "pack_envelope",
     "unpack_envelope",
     "envelope_to_dict",
@@ -55,8 +57,8 @@ __all__ = [
 
 #: Current layout version written by this library.  Bump when the meaning
 #: of ``meta`` / ``arrays`` entries changes; readers keep accepting every
-#: older version.
-SCHEMA_VERSION = 1
+#: older version.  Version 2 dropped the Mersenne Twister states.
+SCHEMA_VERSION = 2
 
 #: Leading magic of every binary envelope.
 MAGIC = b"RPRO"
@@ -102,23 +104,36 @@ def decode_item(payload: Any) -> Any:
 
 
 # ----------------------------------------------------------------------
-# RNG state
+# Generator state
 # ----------------------------------------------------------------------
-def rng_state_to_jsonable(state: Tuple[Any, ...]) -> List[Any]:
-    """Flatten a ``random.Random.getstate()`` tuple into JSON-safe lists.
+def legacy_generator(state: List[Any]) -> np.random.Generator:
+    """The ``PCG64`` generator that stands in for a version-1 frame's
+    Mersenne Twister state (``random.Random.getstate()`` as JSON lists).
 
-    Carrying the Mersenne Twister state across a checkpoint makes a
-    restored seeded sketch continue its stream bit-identically to an
-    uninterrupted run — every future label-replacement draw matches.
+    The generator is seeded with 128 bits drawn from that state, so a
+    legacy frame loads deterministically; its continuation is unbiased
+    but not draw-identical to the writer's.
     """
+    import random
+
     version, internal, gauss_next = state
-    return [version, list(internal), gauss_next]
+    twister = random.Random()
+    twister.setstate((version, tuple(internal), gauss_next))
+    return np.random.Generator(np.random.PCG64(twister.getrandbits(128)))
 
 
-def rng_state_from_jsonable(payload: List[Any]) -> Tuple[Any, ...]:
-    """Rebuild the tuple form ``random.Random.setstate`` expects."""
-    version, internal, gauss_next = payload
-    return (version, tuple(internal), gauss_next)
+def generator_from_state(state: Any) -> np.random.Generator:
+    """Rebuild a framed generator: a ``PCG64`` ``bit_generator.state``
+    dictionary, or a version-1 Mersenne Twister list.  A state that is
+    neither raises :class:`SerializationError`."""
+    try:
+        if isinstance(state, list):
+            return legacy_generator(state)
+        generator = np.random.Generator(np.random.PCG64(0))
+        generator.bit_generator.state = state
+        return generator
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SerializationError(f"frame holds an invalid generator state: {exc}") from exc
 
 
 # ----------------------------------------------------------------------

@@ -23,6 +23,8 @@ from __future__ import annotations
 import math
 from typing import Dict, Optional
 
+import numpy as np
+
 from repro._typing import Item
 from repro.core.base import SubsetSumSketch
 from repro.core.variance import EstimateWithError
@@ -59,7 +61,8 @@ class AdaptiveSampleAndHold(SubsetSumSketch):
         rate_decrease: float = 0.9,
         seed: Optional[int] = None,
     ) -> None:
-        super().__init__(capacity, seed=seed)
+        super().__init__(capacity)
+        self._rng = np.random.default_rng(seed)
         if not 0 < rate_decrease < 1:
             raise InvalidParameterError("rate_decrease must lie strictly between 0 and 1")
         self._rate_decrease = rate_decrease

@@ -20,6 +20,8 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
+import numpy as np
+
 from repro._typing import Item
 from repro.core.base import SubsetSumSketch
 from repro.core.variance import EstimateWithError
@@ -59,7 +61,8 @@ class CountingSampleSketch(SubsetSumSketch):
     ) -> None:
         if not 0 < sampling_rate <= 1:
             raise InvalidParameterError("sampling_rate must lie in (0, 1]")
-        super().__init__(capacity or 1, seed=seed)
+        super().__init__(capacity or 1)
+        self._rng = np.random.default_rng(seed)
         self._sampling_rate = sampling_rate
         self._counters: Dict[Item, int] = {}
 

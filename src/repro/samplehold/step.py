@@ -23,7 +23,10 @@ correction exactly as in Cohen et al.'s estimator.
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Dict, List, Optional
+
+import numpy as np
 
 from repro._typing import Item
 from repro.core.base import SubsetSumSketch
@@ -54,7 +57,8 @@ class StepSampleAndHold(SubsetSumSketch):
         rate_decrease: float = 0.9,
         seed: Optional[int] = None,
     ) -> None:
-        super().__init__(capacity, seed=seed)
+        super().__init__(capacity)
+        self._rng = np.random.default_rng(seed)
         if not 0 < rate_decrease < 1:
             raise InvalidParameterError("rate_decrease must lie strictly between 0 and 1")
         self._rate_decrease = rate_decrease
@@ -108,19 +112,14 @@ class StepSampleAndHold(SubsetSumSketch):
         rate); otherwise it is removed along with all its per-step counts.
         This keeps the retained set distributed as if the lower rate had been
         in force from the start, which is what makes the per-step estimator
-        unbiased.
+        unbiased.  The items re-toss in order, from one ``rng.random(n)`` call.
         """
         old_rate = self.sampling_rate
         new_rate = old_rate * self._rate_decrease
         self._step_rates.append(new_rate)
-        survivors: Dict[Item, Dict[int, int]] = {}
-        surviving_entries: Dict[Item, int] = {}
-        for item, per_step in self._step_counts.items():
-            if self._rng.random() < new_rate / old_rate:
-                survivors[item] = per_step
-                surviving_entries[item] = self._entry_step[item]
-        self._step_counts = survivors
-        self._entry_step = surviving_entries
+        coins = self._rng.random(len(self._step_counts)) < new_rate / old_rate
+        self._step_counts = dict(compress(self._step_counts.items(), coins.tolist()))
+        self._entry_step = {item: self._entry_step[item] for item in self._step_counts}
 
     # ------------------------------------------------------------------
     # Queries
@@ -130,7 +129,6 @@ class StepSampleAndHold(SubsetSumSketch):
         per_step = self._step_counts.get(item)
         if per_step is None:
             return 0.0
-        entry_step = self._entry_step[item]
         # Current survival probability of the entry coin: the entering step's
         # occurrences before entry are missing; correct with the current
         # effective rate for that item, which is the latest step's rate
@@ -138,7 +136,6 @@ class StepSampleAndHold(SubsetSumSketch):
         effective_rate = self._step_rates[-1]
         observed = float(sum(per_step.values()))
         correction = (1.0 - effective_rate) / effective_rate
-        del entry_step
         return observed + correction
 
     def estimates(self) -> Dict[Item, float]:

@@ -19,7 +19,6 @@ baseline.
 from __future__ import annotations
 
 import hashlib
-import random
 import struct
 from typing import Dict, Optional, Tuple
 
@@ -79,7 +78,7 @@ class BottomKSketch(SerializableSketch):
         if capacity < 1:
             raise InvalidParameterError("capacity must be a positive integer")
         self._capacity = capacity
-        self._seed = seed if seed is not None else random.SystemRandom().randrange(2**32)
+        self._seed = seed if seed is not None else int(np.random.default_rng().integers(2**32))
         # item -> (rank, accumulated weight)
         self._bins: Dict[Item, Tuple[float, float]] = {}
         # Smallest rank ever evicted; the conditioning threshold r.

@@ -27,8 +27,9 @@ standard" variance reference (figure 9).
 
 from __future__ import annotations
 
-import random
 from typing import Dict, Optional, Sequence
+
+import numpy as np
 
 from repro._typing import Item
 from repro.errors import InvalidParameterError
@@ -110,20 +111,22 @@ def poisson_pps_sample(
     weights: Dict[Item, float],
     sample_size: int,
     *,
-    rng: Optional[random.Random] = None,
+    rng: Optional[np.random.Generator] = None,
 ) -> WeightedSample:
     """Draw a Poisson PPS sample with expected size ``sample_size``.
 
     Each item is included independently with probability ``π_i``; the
-    realized sample size is random with mean ``sample_size``.
+    realized sample size is random with mean ``sample_size``.  The
+    items with ``π_i > 0`` take one uniform each, in mapping order, from
+    one ``rng.random(n)`` call.
     """
-    rng = rng or random.Random()
+    rng = np.random.default_rng(rng)
     probabilities = inclusion_probabilities(weights, sample_size)
+    candidates = [item for item in weights if probabilities[item] > 0]
     sample = WeightedSample()
-    for item, weight in weights.items():
-        pi = probabilities[item]
-        if pi > 0 and rng.random() < pi:
-            sample.add(SampledItem(item, weight, pi))
+    for item, uniform in zip(candidates, rng.random(len(candidates)).tolist()):
+        if uniform < probabilities[item]:
+            sample.add(SampledItem(item, weights[item], probabilities[item]))
     return sample
 
 
@@ -131,7 +134,7 @@ def splitting_pps_sample(
     weights: Dict[Item, float],
     sample_size: int,
     *,
-    rng: Optional[random.Random] = None,
+    rng: Optional[np.random.Generator] = None,
 ) -> WeightedSample:
     """Fixed-size PPS sample via the pivotal (splitting) method.
 
@@ -143,7 +146,7 @@ def splitting_pps_sample(
     which thresholded PPS probabilities guarantee by construction) and whose
     inclusion probabilities match the target exactly.
     """
-    rng = rng or random.Random()
+    rng = np.random.default_rng(rng)
     probabilities = inclusion_probabilities(weights, sample_size)
     # Work with a mutable copy; resolve probabilities pairwise.
     pending = [
@@ -152,9 +155,8 @@ def splitting_pps_sample(
     resolved: Dict[Item, float] = {
         item: pi for item, pi in probabilities.items() if pi >= 1.0
     }
-    index = 0
-    while index + 1 < len(pending):
-        first, second = pending[index], pending[index + 1]
+    while len(pending) > 1:
+        first, second = pending[0], pending[1]
         pi_a, pi_b = first[1], second[1]
         total = pi_a + pi_b
         if total < 1.0:
@@ -171,12 +173,10 @@ def splitting_pps_sample(
             else:
                 first[1], second[1] = excess, 1.0
         for unit in (first, second):
-            if unit[1] <= 0.0 or unit[1] >= 1.0:
-                if unit[1] >= 1.0:
-                    resolved[unit[0]] = 1.0
+            if unit[1] >= 1.0:
+                resolved[unit[0]] = 1.0
         # Compact the pending list: keep only still-unresolved units.
         pending = [unit for unit in pending if 0.0 < unit[1] < 1.0]
-        index = 0
     # At most one unit can remain unresolved when the target size is not
     # integral; resolve it by a Bernoulli draw to stay unbiased.
     for item, pi in pending:
@@ -192,7 +192,7 @@ def systematic_pps_sample(
     weights: Dict[Item, float],
     sample_size: int,
     *,
-    rng: Optional[random.Random] = None,
+    rng: Optional[np.random.Generator] = None,
     order: Optional[Sequence[Item]] = None,
 ) -> WeightedSample:
     """Fixed-size systematic PPS sample.
@@ -203,21 +203,23 @@ def systematic_pps_sample(
     joint probabilities depend on the ordering, which callers can randomize
     by passing a shuffled ``order``.
     """
-    rng = rng or random.Random()
+    rng = np.random.default_rng(rng)
     probabilities = inclusion_probabilities(weights, sample_size)
     if order is None:
         order = list(weights)
         rng.shuffle(order)
-    start = rng.random()
+    laid_out = [item for item in order if probabilities[item] > 0]
+    segments = np.fromiter((probabilities[item] for item in laid_out), np.float64)
     sample = WeightedSample()
-    cumulative = 0.0
-    next_tick = start
-    for item in order:
-        pi = probabilities[item]
-        if pi <= 0:
-            continue
-        cumulative += pi
-        while next_tick < cumulative - 1e-12:
-            sample.add(SampledItem(item, weights[item], min(1.0, pi)))
-            next_tick += 1.0
+    for i in systematic_picks(segments, rng.random()).tolist():
+        item = laid_out[i]
+        sample.add(SampledItem(item, weights[item], probabilities[item]))
     return sample
+
+
+def systematic_picks(segments: np.ndarray, start: float) -> np.ndarray:
+    """Indices of the segments, laid end to end, that the ticks
+    ``start + j`` (``j = 0, 1, ...``) fall in, once per tick: a segment
+    shorter than 1 is picked at most once."""
+    ticks = np.maximum(np.ceil(np.cumsum(segments) - 1e-12 - start), 0.0)
+    return np.repeat(np.arange(ticks.size), np.diff(ticks, prepend=0.0).astype(np.int64))

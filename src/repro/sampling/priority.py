@@ -18,7 +18,6 @@ after the expensive pre-aggregation step the paper contrasts against.
 from __future__ import annotations
 
 import heapq
-import random
 from typing import Dict, Iterable, Optional, Tuple
 
 import numpy as np
@@ -27,12 +26,7 @@ from repro._typing import Item, ItemPredicate
 from repro.core.batching import collapse_batch
 from repro.core.variance import EstimateWithError
 from repro.errors import EmptySketchError, InvalidParameterError
-from repro.io.codec import (
-    decode_item,
-    encode_item,
-    rng_state_from_jsonable,
-    rng_state_to_jsonable,
-)
+from repro.io.codec import decode_item, encode_item, generator_from_state
 from repro.io.serializable import SerializableSketch
 from repro.sampling.horvitz_thompson import SampledItem, WeightedSample
 
@@ -50,13 +44,13 @@ class PrioritySample(SerializableSketch):
     sample_size:
         Number of retained items ``k``.
     rng:
-        Source of the uniform variates; pass a seeded generator for
-        reproducible draws.
+        The ``np.random.Generator`` supplying the uniform variates; pass a
+        seeded one for reproducible draws.
 
     Example
     -------
     >>> values = {f"item{i}": float(i + 1) for i in range(100)}
-    >>> sample = PrioritySample(values, sample_size=20, rng=random.Random(0))
+    >>> sample = PrioritySample(values, sample_size=20, rng=np.random.default_rng(0))
     >>> len(sample)
     20
     """
@@ -66,7 +60,7 @@ class PrioritySample(SerializableSketch):
         values: Dict[Item, float],
         sample_size: int,
         *,
-        rng: Optional[random.Random] = None,
+        rng: Optional[np.random.Generator] = None,
     ) -> None:
         if sample_size < 1:
             raise InvalidParameterError("sample_size must be at least 1")
@@ -75,29 +69,27 @@ class PrioritySample(SerializableSketch):
         for item, value in values.items():
             if value < 0:
                 raise InvalidParameterError(f"negative value for {item!r}")
-        self._rng = rng or random.Random()
+        self._rng = np.random.default_rng(rng)
         self._sample_size = sample_size
         self._values = dict(values)
         self._threshold, self._sampled = self._draw()
 
     def _draw(self) -> Tuple[float, Dict[Item, float]]:
-        """Assign priorities and keep the ``k`` smallest."""
-        priorities = []
-        for item, value in self._values.items():
-            if value <= 0:
-                continue
-            priority = self._rng.random() / value
-            priorities.append((priority, item, value))
-        priorities.sort(key=lambda entry: entry[0])
-        kept = priorities[: self._sample_size]
-        if len(priorities) > self._sample_size:
-            threshold_priority = priorities[self._sample_size][0]
+        """Assign priorities (the positive values take one uniform each,
+        in order, from one ``rng.random(n)`` call) and keep the ``k`` smallest."""
+        items = [item for item, value in self._values.items() if value > 0]
+        values = np.array([self._values[item] for item in items], dtype=np.float64)
+        priorities = self._rng.random(len(items)) / values
+        order = np.argsort(priorities, kind="stable")
+        if len(items) > self._sample_size:
+            threshold_priority = float(priorities[order[self._sample_size]])
             # tau in the estimator is 1 / threshold-priority scaled form:
             # adjusted value = max(n_i, 1 / R_(k+1)).
             threshold = 1.0 / threshold_priority if threshold_priority > 0 else float("inf")
         else:
             threshold = 0.0
-        return threshold, {item: value for _, item, value in kept}
+        kept = order[: self._sample_size].tolist()
+        return threshold, {items[i]: self._values[items[i]] for i in kept}
 
     @classmethod
     def from_rows(
@@ -106,7 +98,7 @@ class PrioritySample(SerializableSketch):
         weights: Optional[Iterable[float]] = None,
         *,
         sample_size: int,
-        rng: Optional[random.Random] = None,
+        rng: Optional[np.random.Generator] = None,
     ) -> "PrioritySample":
         """Draw a priority sample directly from disaggregated rows.
 
@@ -199,7 +191,7 @@ class PrioritySample(SerializableSketch):
             "threshold": self._threshold,
             "value_labels": [encode_item(item) for item in self._values],
             "sampled_labels": [encode_item(item) for item in self._sampled],
-            "rng_state": rng_state_to_jsonable(self._rng.getstate()),
+            "rng_state": self._rng.bit_generator.state,
         }
         arrays = {
             "values": np.asarray(list(self._values.values()), dtype=np.float64),
@@ -222,8 +214,7 @@ class PrioritySample(SerializableSketch):
             decode_item(label): float(value)
             for label, value in zip(meta["sampled_labels"], arrays["sampled_values"])
         }
-        sample._rng = random.Random()
-        sample._rng.setstate(rng_state_from_jsonable(meta["rng_state"]))
+        sample._rng = generator_from_state(meta["rng_state"])
         return sample
 
 
@@ -236,12 +227,12 @@ class StreamingPrioritySampler(SerializableSketch):
     """
 
     def __init__(
-        self, sample_size: int, *, rng: Optional[random.Random] = None
+        self, sample_size: int, *, rng: Optional[np.random.Generator] = None
     ) -> None:
         if sample_size < 1:
             raise InvalidParameterError("sample_size must be at least 1")
         self._sample_size = sample_size
-        self._rng = rng or random.Random()
+        self._rng = np.random.default_rng(rng)
         # Max-heap (via negated priority) of the k smallest priorities seen.
         self._heap: list[Tuple[float, int, Item, float]] = []
         self._sequence = 0
@@ -253,19 +244,21 @@ class StreamingPrioritySampler(SerializableSketch):
         if value < 0:
             raise InvalidParameterError("values must be non-negative")
         self._items_seen += 1
-        if value == 0:
-            return
-        priority = self._rng.random() / value
+        if value != 0:
+            self._admit(item, value, self._rng.random())
+
+    def _admit(self, item: Item, value: float, uniform: float) -> None:
+        """Keep ``item`` if its priority ``uniform / value`` is among the
+        ``k`` smallest seen, updating the threshold priority."""
+        priority = uniform / value
         entry = (-priority, self._sequence, item, value)
         self._sequence += 1
         if len(self._heap) < self._sample_size:
             heapq.heappush(self._heap, entry)
-            return
-        # The heap root holds the largest retained priority; a smaller
-        # arriving priority evicts it and the evicted priority becomes the
-        # new threshold candidate.
-        largest_retained = -self._heap[0][0]
-        if priority < largest_retained:
+        elif priority < -self._heap[0][0]:
+            # The heap root holds the largest retained priority; a smaller
+            # arriving priority evicts it, and the evicted priority becomes
+            # the new threshold candidate.
             evicted = heapq.heappushpop(self._heap, entry)
             self._threshold_priority = min(self._threshold_priority, -evicted[0])
         else:
@@ -273,9 +266,8 @@ class StreamingPrioritySampler(SerializableSketch):
 
     def extend(self, pairs: Iterable[Tuple[Item, float]]) -> "StreamingPrioritySampler":
         """Offer every ``(item, value)`` pair from an iterable."""
-        for item, value in pairs:
-            self.offer(item, value)
-        return self
+        pairs = list(pairs)
+        return self.offer_batch([item for item, _ in pairs], [value for _, value in pairs])
 
     def offer_batch(
         self, items: Iterable[Item], values: Iterable[float]
@@ -283,18 +275,24 @@ class StreamingPrioritySampler(SerializableSketch):
         """Offer aligned ``items``/``values`` sequences in one call.
 
         Inputs are *pre-aggregated* per-item values, so no duplicate
-        collapsing is applied; the result (including the uniform draws) is
-        identical to sequential :meth:`offer` calls in the same order.
+        collapsing is applied.  The non-zero values take one uniform each,
+        in order, from one ``rng.random(n)`` call, so a batch draws what
+        one :meth:`offer` per item would.  A negative value refuses the
+        whole batch.
         """
         items_list = items if isinstance(items, (list, tuple)) else list(items)
-        values_list = values if isinstance(values, (list, tuple)) else list(values)
+        values_list = [float(value) for value in values]
         if len(items_list) != len(values_list):
             raise InvalidParameterError(
                 f"items and values must align: got {len(items_list)} items "
                 f"and {len(values_list)} values"
             )
-        for item, value in zip(items_list, values_list):
-            self.offer(item, float(value))
+        if any(value < 0 for value in values_list):
+            raise InvalidParameterError("values must be non-negative")
+        self._items_seen += len(values_list)
+        offered = [(item, value) for item, value in zip(items_list, values_list) if value != 0]
+        for (item, value), uniform in zip(offered, self._rng.random(len(offered)).tolist()):
+            self._admit(item, value, uniform)
         return self
 
     def __repr__(self) -> str:
@@ -346,7 +344,7 @@ class StreamingPrioritySampler(SerializableSketch):
             "items_seen": self._items_seen,
             "labels": labels,
             "sequences": sequences,
-            "rng_state": rng_state_to_jsonable(self._rng.getstate()),
+            "rng_state": self._rng.bit_generator.state,
         }
         arrays = {
             "priorities": np.asarray(priorities, dtype=np.float64),
@@ -370,5 +368,5 @@ class StreamingPrioritySampler(SerializableSketch):
         )
         sampler._sequence = int(meta["sequence"])
         sampler._items_seen = int(meta["items_seen"])
-        sampler._rng.setstate(rng_state_from_jsonable(meta["rng_state"]))
+        sampler._rng = generator_from_state(meta["rng_state"])
         return sampler

@@ -15,19 +15,15 @@ Two reservoir samplers are provided:
 
 from __future__ import annotations
 
-import random
 from collections import Counter
 from typing import Dict, Generic, Iterable, List, Optional, TypeVar
+
+import numpy as np
 
 from repro._typing import Item, ItemPredicate
 from repro.core.variance import EstimateWithError
 from repro.errors import InvalidParameterError, UnsupportedUpdateError
-from repro.io.codec import (
-    decode_item,
-    encode_item,
-    rng_state_from_jsonable,
-    rng_state_to_jsonable,
-)
+from repro.io.codec import decode_item, encode_item, generator_from_state
 from repro.io.serializable import SerializableSketch
 
 __all__ = ["SingleItemReservoir", "ReservoirSampler"]
@@ -43,8 +39,8 @@ class SingleItemReservoir(Generic[T]):
     label becomes a uniform draw from the rows that hit the bin.
     """
 
-    def __init__(self, rng: Optional[random.Random] = None) -> None:
-        self._rng = rng or random.Random()
+    def __init__(self, rng: Optional[np.random.Generator] = None) -> None:
+        self._rng = np.random.default_rng(rng)
         self._value: Optional[T] = None
         self._offers = 0
 
@@ -80,7 +76,7 @@ class ReservoirSampler(Generic[T], SerializableSketch):
         if capacity < 1:
             raise InvalidParameterError("capacity must be a positive integer")
         self._capacity = capacity
-        self._rng = random.Random(seed)
+        self._rng = np.random.default_rng(seed)
         self._reservoir: List[T] = []
         self._rows_processed = 0
 
@@ -100,7 +96,8 @@ class ReservoirSampler(Generic[T], SerializableSketch):
         if len(self._reservoir) < self._capacity:
             self._reservoir.append(row)
             return
-        position = self._rng.randrange(self._rows_processed)
+        # floor(U·n) is uniform on 0..n-1 up to float rounding (< 2^-53).
+        position = int(self._rng.random() * self._rows_processed)
         if position < self._capacity:
             self._reservoir[position] = row
 
@@ -190,7 +187,7 @@ class ReservoirSampler(Generic[T], SerializableSketch):
             "capacity": self._capacity,
             "rows_processed": self._rows_processed,
             "reservoir": [encode_item(row) for row in self._reservoir],
-            "rng_state": rng_state_to_jsonable(self._rng.getstate()),
+            "rng_state": self._rng.bit_generator.state,
         }
         return meta, {}
 
@@ -199,5 +196,5 @@ class ReservoirSampler(Generic[T], SerializableSketch):
         sampler = cls(int(meta["capacity"]))
         sampler._reservoir = [decode_item(row) for row in meta["reservoir"]]
         sampler._rows_processed = int(meta["rows_processed"])
-        sampler._rng.setstate(rng_state_from_jsonable(meta["rng_state"]))
+        sampler._rng = generator_from_state(meta["rng_state"])
         return sampler

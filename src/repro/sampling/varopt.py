@@ -17,14 +17,15 @@ small item is assigned the adjusted weight ``τ``.
 
 from __future__ import annotations
 
-import random
 from typing import Dict, Iterable, Optional
+
+import numpy as np
 
 from repro._typing import Item
 from repro.core.batching import collapse_batch
 from repro.errors import InvalidParameterError
 from repro.sampling.horvitz_thompson import SampledItem, WeightedSample
-from repro.sampling.pps import inclusion_probabilities, pps_threshold
+from repro.sampling.pps import inclusion_probabilities, systematic_picks
 
 __all__ = ["varopt_sample", "varopt_sample_batch", "varopt_reduce"]
 
@@ -33,7 +34,7 @@ def varopt_sample(
     weights: Dict[Item, float],
     sample_size: int,
     *,
-    rng: Optional[random.Random] = None,
+    rng: Optional[np.random.Generator] = None,
 ) -> WeightedSample:
     """Draw a fixed-size unbiased sample of ``sample_size`` weighted items.
 
@@ -44,36 +45,28 @@ def varopt_sample(
     """
     if sample_size < 1:
         raise InvalidParameterError("sample_size must be at least 1")
-    rng = rng or random.Random()
+    rng = np.random.default_rng(rng)
     positive = {item: w for item, w in weights.items() if w > 0}
+    sample = WeightedSample()
     if len(positive) <= sample_size:
-        sample = WeightedSample()
         for item, weight in positive.items():
             sample.add(SampledItem(item, weight, 1.0))
         return sample
-    tau = pps_threshold(positive, sample_size)
     probabilities = inclusion_probabilities(positive, sample_size)
-    certain = {item: w for item, w in positive.items() if probabilities[item] >= 1.0}
-    small = {item: w for item, w in positive.items() if probabilities[item] < 1.0}
-    sample = WeightedSample()
-    for item, weight in certain.items():
-        sample.add(SampledItem(item, weight, 1.0))
-    # Systematic sampling over the small items gives exactly the residual
-    # budget in expectation and (up to the integrality of the probabilities)
-    # in realization, while preserving each marginal probability.
-    order = list(small)
-    rng.shuffle(order)
-    start = rng.random()
-    cumulative = 0.0
-    next_tick = start
-    for item in order:
-        pi = probabilities[item]
-        cumulative += pi
-        if next_tick < cumulative - 1e-12:
-            # Kept small items carry the Horvitz-Thompson adjusted weight τ.
-            sample.add(SampledItem(item, small[item], pi))
-            next_tick += 1.0
-    del tau  # τ is implicit in the probabilities; kept for readability above.
+    small = []
+    for item, weight in positive.items():
+        if probabilities[item] >= 1.0:
+            sample.add(SampledItem(item, weight, 1.0))
+        else:
+            small.append(item)
+    # Systematic sampling over the small items, in random order, gives
+    # exactly the residual budget in expectation and (up to the integrality
+    # of the probabilities) in realization, while preserving each marginal
+    # probability.  Kept small items carry the adjusted weight τ.
+    small = [small[i] for i in rng.permutation(len(small)).tolist()]
+    segments = np.fromiter((probabilities[item] for item in small), np.float64)
+    for i in systematic_picks(segments, rng.random()).tolist():
+        sample.add(SampledItem(small[i], positive[small[i]], probabilities[small[i]]))
     return sample
 
 
@@ -82,7 +75,7 @@ def varopt_sample_batch(
     weights: Optional[Iterable[float]] = None,
     *,
     sample_size: int,
-    rng: Optional[random.Random] = None,
+    rng: Optional[np.random.Generator] = None,
 ) -> WeightedSample:
     """Draw a VarOpt sample directly from disaggregated rows.
 
@@ -99,7 +92,7 @@ def varopt_reduce(
     weights: Dict[Item, float],
     sample_size: int,
     *,
-    rng: Optional[random.Random] = None,
+    rng: Optional[np.random.Generator] = None,
 ) -> Dict[Item, float]:
     """Reduce a weight map to at most ``sample_size`` entries, unbiasedly.
 

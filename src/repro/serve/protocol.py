@@ -52,6 +52,7 @@ from __future__ import annotations
 import base64
 import binascii
 import json
+import math
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -72,6 +73,7 @@ __all__ = [
     "encode_reals",
     "decode_items",
     "check_rows",
+    "check_finite",
     "check_k",
     "check_phi",
     "column_layout",
@@ -243,9 +245,23 @@ def _check_reals(field: str, values: List[Any]) -> None:
         raise InvalidParameterError(
             f"'{field}' must hold finite real numbers, got {bad!r}"
         )
+    check_finite(field, values)
+
+
+def check_finite(field: str, values: Any) -> None:
+    """Refuse a ``weights`` or ``timestamps`` column unless every value is
+    a finite real number.  The wire runs it after its JSON type check
+    (numbers, not booleans); an in-process enqueue runs it alone."""
+    if not isinstance(values, np.ndarray):
+        try:
+            if math.isfinite(sum(values)):
+                return  # an infinite or NaN term never sums to a finite value
+        except (OverflowError, TypeError):
+            pass
     try:
-        finite = bool(np.isfinite(np.asarray(values, dtype=np.float64)).all())
-    except OverflowError:
+        column = np.asarray(values, dtype=np.float64)
+        finite = column.ndim == 1 and bool(np.isfinite(column).all())
+    except (OverflowError, TypeError, ValueError):
         finite = False
     if not finite:
         raise InvalidParameterError(f"'{field}' must hold finite real numbers")
@@ -585,8 +601,7 @@ def attach_columns(
                     f"'{field}' must be null or an array aligned with "
                     f"'items' ({rows} rows)"
                 )
-            if not np.isfinite(column).all():
-                raise InvalidParameterError(f"'{field}' must hold finite real numbers")
+            check_finite(field, column)
     request.update(arrays)
     return request
 

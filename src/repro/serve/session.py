@@ -38,6 +38,7 @@ from repro.errors import (
     QuotaExceededError,
     ServerClosedError,
 )
+from repro.serve.protocol import check_finite
 
 __all__ = ["ServedSession", "ServeStats"]
 
@@ -255,18 +256,22 @@ class ServedSession:
             )
         items = _materialize(items)
         rows = len(items)
+        # Non-finite reals are refused here, not in the writer, so a bad
+        # row never becomes an enqueued batch that fails later.
         if weights is not None:
             weights = _materialize(weights)
             if len(weights) != rows:
                 raise InvalidParameterError(
                     f"weights length {len(weights)} != items length {rows}"
                 )
+            check_finite("weights", weights)
         if timestamps is not None:
             timestamps = _materialize(timestamps)
             if len(timestamps) != rows:
                 raise InvalidParameterError(
                     f"timestamps length {len(timestamps)} != items length {rows}"
                 )
+            check_finite("timestamps", timestamps)
         return (items, weights, timestamps, rows)
 
     def _ensure_writer(self) -> None:

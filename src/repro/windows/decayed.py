@@ -267,6 +267,8 @@ class DecayedWindowSketch(SerializableSketch):
         query_time = self._latest_timestamp if at_time is None else float(at_time)
         if self._policy.kind == "poly" and query_time < self._landmark:
             raise InvalidParameterError("query time precedes the landmark")
+        if not self._sketch.rows_processed and math.isfinite(query_time):
+            return 1.0  # an empty sketch answers 0, even where g is 0
         with np.errstate(over="ignore"):
             normalizer = float(self._policy.g(query_time - self._landmark))
         if not 0 < normalizer < math.inf:

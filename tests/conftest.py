@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import random
 import sys
 from pathlib import Path
 
@@ -23,12 +22,6 @@ from repro.streams.generators import exchangeable_stream, iterate_rows
 #: workload and every sketch under test derive from it, so runs are
 #: deterministic across machines and pytest orderings.
 BATCH_SEED = 20180618
-
-
-@pytest.fixture
-def rng() -> random.Random:
-    """A seeded standard-library generator."""
-    return random.Random(12345)
 
 
 @pytest.fixture

@@ -17,6 +17,7 @@ import asyncio
 import json
 import math
 
+import numpy as np
 import pytest
 
 import repro
@@ -172,6 +173,40 @@ class TestShardedScatterGather:
         assert total.estimate == pytest.approx(600.0)
         for item, value in points.items():
             assert value == estimates[item]
+
+    @pytest.mark.parametrize("columns", [False, True], ids=["json", "columns"])
+    @pytest.mark.parametrize("bad", [-1.0, 0.0, math.nan, math.inf])
+    def test_bad_weight_refuses_the_whole_sharded_batch(self, tmp_path, bad, columns):
+        """A weight a shard would refuse is refused at the router, before
+        any shard's slice is sent: no member enqueues a row."""
+
+        async def scenario():
+            cluster = await _cluster(tmp_path, n=2)
+            client = cluster.client
+            try:
+                await client.create("s", SPEC, size=16, seed=3, shards=4)
+                await client.update_batch("s", ["warm"], [2.0])
+                await client.flush("s")
+                before = (await client.total("s")).estimate
+                items = [f"k{i}" for i in range(12)]
+                weights = [bad] + [1.0] * 11
+                if columns:  # int labels travel as a binary column frame
+                    items, weights = np.arange(12), np.array(weights)
+                with pytest.raises(InvalidParameterError, match="weights"):
+                    await client.update_batch("s", items, weights)
+                await client.flush("s")
+                enqueued = sum(
+                    served.stats.rows_enqueued
+                    for server in cluster.servers.values()
+                    for served in server.registry
+                )
+                return before, (await client.total("s")).estimate, enqueued
+            finally:
+                await cluster.close()
+
+        before, after, enqueued = run(scenario())
+        assert before == after == 2.0
+        assert enqueued == 1
 
     def test_tuple_labels_survive_scatter_and_gather(self, tmp_path):
         async def scenario():

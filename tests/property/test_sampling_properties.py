@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-import random
-
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -66,7 +65,7 @@ def test_larger_weights_have_larger_probabilities(weights, budget):
 @given(weights=weight_maps, budget=budgets, seed=seeds)
 def test_splitting_sample_size_is_fixed(weights, budget, seed):
     """The splitting (pivotal) procedure returns exactly min(budget, positive items)."""
-    sample = splitting_pps_sample(weights, budget, rng=random.Random(seed))
+    sample = splitting_pps_sample(weights, budget, rng=np.random.default_rng(seed))
     positive_items = sum(1 for weight in weights.values() if weight > 0)
     assert len(sample) == min(budget, positive_items)
 
@@ -75,7 +74,7 @@ def test_splitting_sample_size_is_fixed(weights, budget, seed):
 @given(weights=weight_maps, budget=budgets, seed=seeds)
 def test_priority_sample_adjusted_values_dominate_threshold(weights, budget, seed):
     """Every sampled adjusted value is at least the threshold, and size ≤ k."""
-    sample = PrioritySample(weights, budget, rng=random.Random(seed))
+    sample = PrioritySample(weights, budget, rng=np.random.default_rng(seed))
     assert len(sample) <= budget
     for item in sample.estimates():
         assert sample.adjusted_value(item) >= sample.threshold - 1e-9
@@ -86,7 +85,7 @@ def test_priority_sample_adjusted_values_dominate_threshold(weights, budget, see
 @given(weights=weight_maps, budget=budgets, seed=seeds)
 def test_varopt_reduce_size_and_adjusted_weights(weights, budget, seed):
     """VarOpt reduction respects the budget and never shrinks a kept certainty item."""
-    reduced = varopt_reduce(weights, budget, rng=random.Random(seed))
+    reduced = varopt_reduce(weights, budget, rng=np.random.default_rng(seed))
     positive_items = sum(1 for weight in weights.values() if weight > 0)
     assert len(reduced) <= max(budget, positive_items)
     if positive_items > budget:

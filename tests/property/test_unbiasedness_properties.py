@@ -8,8 +8,7 @@ reduction step.
 
 from __future__ import annotations
 
-import random
-
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -55,7 +54,7 @@ def test_pairwise_reduction_empirical_expectation(incumbent, newcomer_weight, se
     total_new = 0.0
     total_old = 0.0
     for seed in seeds:
-        reduced = policy.reduce(dict(bins), 1, random.Random(seed), "new")
+        reduced = policy.reduce(dict(bins), 1, np.random.default_rng(seed), "new")
         total_new += reduced.get("new", 0.0)
         total_old += reduced.get("old", 0.0)
     n = len(seeds)
@@ -84,7 +83,7 @@ def test_unbiased_bin_reduction_preserves_item_expectations(counts, capacity, se
     total = sum(bins.values())
     sums = {item: 0.0 for item in bins}
     for seed in seeds:
-        reduced = reduce_bins_unbiased(bins, capacity, method="pps", rng=random.Random(seed))
+        reduced = reduce_bins_unbiased(bins, capacity, method="pps", rng=np.random.default_rng(seed))
         for item in sums:
             sums[item] += reduced.get(item, 0.0)
     n = len(seeds)

@@ -16,8 +16,6 @@ Three families of guarantees are pinned down here:
 
 from __future__ import annotations
 
-import random
-
 import numpy as np
 import pytest
 
@@ -92,7 +90,7 @@ class _ExactCounterSketch(FrequentItemSketch):
     """Minimal weighted sketch using the inherited ``update_batch``."""
 
     def __init__(self, capacity, *, seed=None):
-        super().__init__(capacity, seed=seed)
+        super().__init__(capacity)
         self._exact = {}
 
     def update(self, item, weight=1.0):
@@ -326,18 +324,18 @@ class TestSamplingBatchAPIs:
         rows = ["a", "b", "a", "c", "a", "b"]
         unique, collapsed, _, __ = collapse_batch(rows)
         direct = PrioritySample(
-            dict(zip(unique, collapsed)), sample_size=2, rng=random.Random(5)
+            dict(zip(unique, collapsed)), sample_size=2, rng=np.random.default_rng(5)
         )
-        batched = PrioritySample.from_rows(rows, sample_size=2, rng=random.Random(5))
+        batched = PrioritySample.from_rows(rows, sample_size=2, rng=np.random.default_rng(5))
         assert batched.estimates() == direct.estimates()
         assert batched.threshold == direct.threshold
 
     def test_streaming_priority_offer_batch_matches_sequential(self):
         pairs = [(f"item{i}", float(i % 7 + 1)) for i in range(40)]
-        sequential = StreamingPrioritySampler(8, rng=random.Random(3))
+        sequential = StreamingPrioritySampler(8, rng=np.random.default_rng(3))
         for item, value in pairs:
             sequential.offer(item, value)
-        batched = StreamingPrioritySampler(8, rng=random.Random(3)).offer_batch(
+        batched = StreamingPrioritySampler(8, rng=np.random.default_rng(3)).offer_batch(
             [item for item, _ in pairs], [value for _, value in pairs]
         )
         seq_sample = {s.item: s.adjusted_value for s in sequential.result()}
@@ -352,9 +350,9 @@ class TestSamplingBatchAPIs:
         rows = ["a", "b", "a", "c", "d", "a", "b"]
         unique, collapsed, _, __ = collapse_batch(rows)
         direct = varopt_sample(
-            dict(zip(unique, collapsed)), sample_size=3, rng=random.Random(9)
+            dict(zip(unique, collapsed)), sample_size=3, rng=np.random.default_rng(9)
         )
-        batched = varopt_sample_batch(rows, sample_size=3, rng=random.Random(9))
+        batched = varopt_sample_batch(rows, sample_size=3, rng=np.random.default_rng(9))
         assert {s.item: s.adjusted_value for s in batched} == {
             s.item: s.adjusted_value for s in direct
         }
@@ -462,7 +460,10 @@ class TestShardedSketch:
         # sketches: independent entropy, not a silent fixed 0..N-1 seeding.
         first = ShardedSketch(8, 2)
         second = ShardedSketch(8, 2)
-        assert first.shards[0]._rng.random() != second.shards[0]._rng.random()
+        assert (
+            first.shards[0]._store._generator.random()
+            != second.shards[0]._store._generator.random()
+        )
 
     def test_invalid_parameters(self):
         with pytest.raises(InvalidParameterError):

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import random
-
 import numpy as np
 import pytest
 
@@ -301,7 +299,7 @@ class TestMinTracking:
         assert store.min_count() == 2.0
 
     def test_min_tracking_under_many_updates(self):
-        rng = random.Random(11)
+        rng = np.random.default_rng(11)
         store = make_store(capacity=40)
         reference = {}
         for index in range(200):

@@ -5,6 +5,13 @@ Space Saving sketches, the §5.5 merge path, tier demotion or the windowed
 query view has to reproduce these bytes exactly.  A digest is the first 16
 hex digits of the sha256 of a sketch's ``to_bytes()`` frame, or of the
 ``repr`` of a query answer (labels, values and iteration order).
+
+The five frame digests were re-recorded once, for schema version 2.  The
+``uss``, ``dss`` and ``decay`` frames lost their unused Mersenne Twister
+state (and the ``store`` keys only version-1 readers used); their labels,
+counts, priorities and kernel generator state did not move.  The merge
+and demotion frames moved because the reduction now draws from the same
+``PCG64`` generator as the merged sketch, before its priorities.
 """
 
 from __future__ import annotations
@@ -114,13 +121,13 @@ CASES = {
 }
 
 GOLDEN = {
-    "uss_frame": "001c9a3530694063",
-    "dss_frame": "ead77792fb550692",
-    "merge_unbiased_frame": "836817f620eb3123",
-    "demoted_frame": "c4e0cb0935ff9303",
+    "uss_frame": "93eb6668ebccceb7",
+    "dss_frame": "c6661a1b7d31176a",
+    "merge_unbiased_frame": "5c936faab132450c",
+    "demoted_frame": "8bb9cad4aef5bd73",
     "window_uss_answers": "e9360d465c861403",
     "window_dss_answers": "67eb2cb9676d19c2",
-    "decay_frame": "bdd869b16d205aba",
+    "decay_frame": "23ea31593a9449b4",
     "decay_answers": "b3e4b980929acdb6",
 }
 

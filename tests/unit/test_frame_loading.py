@@ -6,7 +6,8 @@ Two guarantees are pinned here:
    than capacity, a repeated label, a NaN, infinite or negative count —
    is refused with :class:`~repro.errors.SerializationError` instead of
    loading a sketch whose total silently disagrees with its counters.
-   The server's ``adopt`` op loads client-supplied frames through the
+   So is a frame whose generator state is neither a ``PCG64`` state nor
+   a version-1 Mersenne Twister state.  The server's ``adopt`` op loads client-supplied frames through the
    same path, so a refused frame creates no session.
 2. Frames written by the scalar ``heap`` / ``stream_summary`` stores
    (which carry no tie-break ``priorities``) still load.  The golden
@@ -42,6 +43,7 @@ from repro.distributed.sharded import ShardedSketch
 from repro.errors import SerializationError
 from repro.io import load_bytes
 from repro.io.codec import decode_item, pack_envelope, unpack_envelope
+from repro.sampling.reservoir import ReservoirSampler
 from repro.serve import SketchServer, TCPServeClient, restore_registry
 from repro.serve.checkpoint import MANIFEST_FORMAT, MANIFEST_NAME, MANIFEST_VERSION
 from repro.serve.registry import DEFAULT_TENANT
@@ -110,6 +112,24 @@ def test_load_bytes_refuses_malformed_bins(make, edit):
     assert load_bytes(sketch.to_bytes()).estimates() == sketch.estimates()
     with pytest.raises(SerializationError, match="invalid bins"):
         load_bytes(_frame(sketch, edit))
+
+
+def _reservoir():
+    return ReservoirSampler(3, seed=0).extend(["a", "b", "c", "d"])
+
+
+@pytest.mark.parametrize("make,key", [(_uss, "kernel_rng_state"), (_reservoir, "rng_state")])
+@pytest.mark.parametrize(
+    "state",
+    [{"bit_generator": "MT19937"}, {"state": 5}, "pcg", [3, [1, 2], None]],
+    ids=["other-bit-generator", "partial-state", "string", "bad-twister-list"],
+)
+def test_load_bytes_refuses_a_malformed_generator_state(make, key, state):
+    def edit(meta, arrays):
+        meta[key] = state
+
+    with pytest.raises(SerializationError, match="invalid generator state"):
+        load_bytes(_frame(make(), edit))
 
 
 def test_adopt_refuses_malformed_frame_without_creating_a_session():

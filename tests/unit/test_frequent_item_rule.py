@@ -11,8 +11,8 @@ and total, and refuses a bad ``k`` or ``phi`` with
 from __future__ import annotations
 
 import math
-import random
 
+import numpy as np
 import pytest
 
 from repro.api import HEAVY_HITTERS, build, iter_specs
@@ -28,7 +28,7 @@ SEED = 20180618
 #: Skewed labels in tied pairs (x00/x01 share a count, and so on), so both
 #: the count order and the ``repr`` tie-break matter.
 ROWS = [f"x{i:02d}" for i in range(40) for _ in range(max(1, 24 - 2 * (i // 2)))]
-random.Random(SEED).shuffle(ROWS)
+np.random.default_rng(SEED).shuffle(ROWS)
 TIMESTAMPS = [0.5 * index for index in range(len(ROWS))]
 
 KS = (0, 1, 5, 100)

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import random
-
 import numpy as np
 import pytest
 
@@ -30,7 +28,7 @@ class TestReductionPolicies:
     def test_deterministic_pair_reduction_keeps_newcomer(self):
         policy = DeterministicPairReduction()
         bins = {"a": 5.0, "b": 2.0, "new": 1.0}
-        reduced = policy.reduce(bins, 2, random.Random(0), "new")
+        reduced = policy.reduce(bins, 2, np.random.default_rng(0), "new")
         assert set(reduced) == {"a", "new"}
         assert reduced["new"] == 3.0
         assert not policy.unbiased
@@ -38,7 +36,7 @@ class TestReductionPolicies:
     def test_unbiased_pair_reduction_preserves_total(self):
         policy = UnbiasedPairReduction()
         bins = {"a": 5.0, "b": 2.0, "new": 1.0}
-        reduced = policy.reduce(bins, 2, random.Random(1), "new")
+        reduced = policy.reduce(bins, 2, np.random.default_rng(1), "new")
         assert sum(reduced.values()) == pytest.approx(8.0)
         assert len(reduced) == 2
         assert policy.unbiased
@@ -49,7 +47,7 @@ class TestReductionPolicies:
         keeps_new = 0
         trials = 4000
         for seed in range(trials):
-            reduced = policy.reduce(dict(bins), 2, random.Random(seed), "new")
+            reduced = policy.reduce(dict(bins), 2, np.random.default_rng(seed), "new")
             if "new" in reduced:
                 keeps_new += 1
         # P(keep new) = 1 / (3 + 1) = 0.25.
@@ -58,7 +56,7 @@ class TestReductionPolicies:
     def test_pps_reduction_shrinks_to_capacity(self):
         policy = PPSReduction()
         bins = {f"i{k}": float(k + 1) for k in range(20)}
-        reduced = policy.reduce(bins, 5, random.Random(2), "i0")
+        reduced = policy.reduce(bins, 5, np.random.default_rng(2), "i0")
         assert len(reduced) <= 5
 
 
@@ -127,7 +125,7 @@ class TestCombineAndReduce:
         bins = {f"i{k}": float(k + 1) for k in range(40)}
         for method in ("pps", "poisson", "priority"):
             reduced = reduce_bins_unbiased(
-                bins, 10, method=method, rng=random.Random(3)
+                bins, 10, method=method, rng=np.random.default_rng(3)
             )
             if method == "poisson":
                 # Poisson reduction has random size with expectation 10.
@@ -144,7 +142,7 @@ class TestCombineAndReduce:
         total = sum(bins.values())
         totals = []
         for seed in range(300):
-            reduced = reduce_bins_unbiased(bins, 8, method="pps", rng=random.Random(seed))
+            reduced = reduce_bins_unbiased(bins, 8, method="pps", rng=np.random.default_rng(seed))
             totals.append(sum(reduced.values()))
         assert np.mean(totals) == pytest.approx(total, rel=0.05)
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import random
 from collections import Counter
 
 import numpy as np
@@ -94,7 +93,7 @@ class TestPPS:
     def test_poisson_sample_size_concentrates(self):
         weights = {f"i{k}": float((k % 10) + 1) for k in range(200)}
         sizes = [
-            len(poisson_pps_sample(weights, 20, rng=random.Random(seed)))
+            len(poisson_pps_sample(weights, 20, rng=np.random.default_rng(seed)))
             for seed in range(100)
         ]
         assert np.mean(sizes) == pytest.approx(20.0, abs=1.5)
@@ -102,7 +101,7 @@ class TestPPS:
     def test_splitting_sample_has_fixed_size(self):
         weights = {f"i{k}": float((k % 10) + 1) for k in range(100)}
         for seed in range(10):
-            sample = splitting_pps_sample(weights, 15, rng=random.Random(seed))
+            sample = splitting_pps_sample(weights, 15, rng=np.random.default_rng(seed))
             assert len(sample) == 15
 
     def test_splitting_sample_marginals(self):
@@ -111,7 +110,7 @@ class TestPPS:
         hits = Counter()
         trials = 4000
         for seed in range(trials):
-            sample = splitting_pps_sample(weights, 2, rng=random.Random(seed))
+            sample = splitting_pps_sample(weights, 2, rng=np.random.default_rng(seed))
             for sampled in sample:
                 hits[sampled.item] += 1
         for item, probability in probabilities.items():
@@ -119,14 +118,14 @@ class TestPPS:
 
     def test_systematic_sample_size_matches_budget(self):
         weights = {f"i{k}": float(k + 1) for k in range(60)}
-        sample = systematic_pps_sample(weights, 12, rng=random.Random(0))
+        sample = systematic_pps_sample(weights, 12, rng=np.random.default_rng(0))
         assert len(sample) == 12
 
     def test_poisson_sample_total_unbiased(self):
         weights = {f"i{k}": float((k % 20) + 1) for k in range(100)}
         truth = sum(weights.values())
         totals = [
-            poisson_pps_sample(weights, 25, rng=random.Random(seed)).total_estimate()
+            poisson_pps_sample(weights, 25, rng=np.random.default_rng(seed)).total_estimate()
             for seed in range(300)
         ]
         assert np.mean(totals) == pytest.approx(truth, rel=0.05)
@@ -135,13 +134,13 @@ class TestPPS:
 class TestPrioritySampling:
     def test_sample_size_and_membership(self):
         values = {f"i{k}": float(k + 1) for k in range(100)}
-        sample = PrioritySample(values, 25, rng=random.Random(0))
+        sample = PrioritySample(values, 25, rng=np.random.default_rng(0))
         assert len(sample) == 25
         assert all(item in values for item in sample.estimates())
 
     def test_under_capacity_keeps_everything_exact(self):
         values = {"a": 3.0, "b": 7.0}
-        sample = PrioritySample(values, 10, rng=random.Random(1))
+        sample = PrioritySample(values, 10, rng=np.random.default_rng(1))
         assert sample.threshold == 0.0
         assert sample.estimates() == values
 
@@ -155,7 +154,7 @@ class TestPrioritySampling:
 
     def test_adjusted_values_at_least_threshold(self):
         values = {f"i{k}": float((k % 10) + 1) for k in range(80)}
-        sample = PrioritySample(values, 20, rng=random.Random(2))
+        sample = PrioritySample(values, 20, rng=np.random.default_rng(2))
         for item in sample.estimates():
             assert sample.adjusted_value(item) >= sample.threshold - 1e-9
 
@@ -164,7 +163,7 @@ class TestPrioritySampling:
         subset = {f"i{k}" for k in range(0, 90, 3)}
         truth = sum(values[item] for item in subset)
         estimates = [
-            PrioritySample(values, 30, rng=random.Random(seed)).subset_sum(
+            PrioritySample(values, 30, rng=np.random.default_rng(seed)).subset_sum(
                 lambda item: item in subset
             )
             for seed in range(400)
@@ -174,19 +173,19 @@ class TestPrioritySampling:
 
     def test_pseudo_inclusion_probabilities(self):
         values = {"big": 100.0, "small": 1.0}
-        sample = PrioritySample(values, 1, rng=random.Random(3))
+        sample = PrioritySample(values, 1, rng=np.random.default_rng(3))
         assert sample.pseudo_inclusion_probability("big") >= sample.pseudo_inclusion_probability("small")
         assert sample.pseudo_inclusion_probability("missing") == 0.0
 
     def test_streaming_matches_batch_semantics(self):
         values = {f"i{k}": float((k % 10) + 1) for k in range(200)}
-        sampler = StreamingPrioritySampler(30, rng=random.Random(4))
+        sampler = StreamingPrioritySampler(30, rng=np.random.default_rng(4))
         sampler.extend(values.items())
         sample = sampler.result()
         assert len(sample.items()) == 30
         totals = []
         for seed in range(200):
-            sampler = StreamingPrioritySampler(30, rng=random.Random(seed))
+            sampler = StreamingPrioritySampler(30, rng=np.random.default_rng(seed))
             sampler.extend(values.items())
             totals.append(sampler.result().total_estimate())
         assert np.mean(totals) == pytest.approx(sum(values.values()), rel=0.05)
@@ -265,7 +264,7 @@ class TestReservoir:
     def test_single_item_reservoir_uniformity(self):
         hits = Counter()
         for seed in range(3000):
-            reservoir = SingleItemReservoir(rng=random.Random(seed))
+            reservoir = SingleItemReservoir(rng=np.random.default_rng(seed))
             for row in "abc":
                 reservoir.offer(row)
             hits[reservoir.value] += 1
@@ -312,20 +311,20 @@ class TestReservoir:
 class TestVarOpt:
     def test_under_capacity_exact(self):
         weights = {"a": 1.0, "b": 2.0}
-        sample = varopt_sample(weights, 5, rng=random.Random(0))
+        sample = varopt_sample(weights, 5, rng=np.random.default_rng(0))
         assert sample.estimates() == weights
 
     def test_fixed_size(self):
         weights = {f"i{k}": float((k % 7) + 1) for k in range(50)}
         for seed in range(10):
-            reduced = varopt_reduce(weights, 12, rng=random.Random(seed))
+            reduced = varopt_reduce(weights, 12, rng=np.random.default_rng(seed))
             assert len(reduced) <= 12
 
     def test_total_preserved_in_expectation(self):
         weights = {f"i{k}": float((k % 9) + 1) for k in range(40)}
         truth = sum(weights.values())
         totals = [
-            sum(varopt_reduce(weights, 10, rng=random.Random(seed)).values())
+            sum(varopt_reduce(weights, 10, rng=np.random.default_rng(seed)).values())
             for seed in range(300)
         ]
         assert np.mean(totals) == pytest.approx(truth, rel=0.05)
@@ -333,9 +332,84 @@ class TestVarOpt:
     def test_large_items_kept_exactly(self):
         weights = {"huge": 1000.0}
         weights.update({f"s{k}": 1.0 for k in range(30)})
-        reduced = varopt_reduce(weights, 5, rng=random.Random(1))
+        reduced = varopt_reduce(weights, 5, rng=np.random.default_rng(1))
         assert reduced["huge"] == 1000.0
 
     def test_validation(self):
         with pytest.raises(InvalidParameterError):
             varopt_sample({"a": 1.0}, 0)
+
+
+class TestBulkDrawsMatchTheLoopReference:
+    """The vectorized samplers against the per-item loops they replaced.
+
+    A ``PCG64`` bulk draw ``rng.random(n)`` yields the values of ``n``
+    scalar draws, so each sampler must pick exactly what its loop picks
+    from an identically seeded generator.
+    """
+
+    @staticmethod
+    def _weights(seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(5, 200))
+        values = rng.pareto(rng.uniform(0.3, 3.0), n) * (rng.random(n) < 0.9)
+        return {f"i{index}": float(value) for index, value in enumerate(values)}
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_priority_sample(self, seed):
+        values = self._weights(seed)
+        k = max(1, len(values) // 4)
+        rng = np.random.default_rng(seed + 1000)
+        drawn = sorted(
+            ((rng.random() / value, item) for item, value in values.items() if value > 0),
+            key=lambda entry: entry[0],
+        )
+        sample = PrioritySample(values, k, rng=np.random.default_rng(seed + 1000))
+        assert list(sample.estimates()) == [item for _, item in drawn[:k]]
+        expected = 1.0 / drawn[k][0] if len(drawn) > k else 0.0
+        assert sample.threshold == expected
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_poisson_pps_sample(self, seed):
+        values = self._weights(seed)
+        k = max(1, len(values) // 4)
+        rng = np.random.default_rng(seed + 2000)
+        probabilities = inclusion_probabilities(values, k)
+        kept = [
+            item
+            for item, pi in probabilities.items()
+            if pi > 0 and rng.random() < pi
+        ]
+        sample = poisson_pps_sample(values, k, rng=np.random.default_rng(seed + 2000))
+        assert [sampled.item for sampled in sample] == kept
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_systematic_samples(self, seed):
+        values = self._weights(seed)
+        k = max(1, len(values) // 4)
+        probabilities = inclusion_probabilities(values, k)
+
+        def systematic_loop(order, rng):
+            kept, cumulative, tick = [], 0.0, rng.random()
+            for item in order:
+                if probabilities[item] > 0:
+                    cumulative += probabilities[item]
+                    while tick < cumulative - 1e-12:
+                        kept.append(item)
+                        tick += 1.0
+            return kept
+
+        rng = np.random.default_rng(seed + 3000)
+        order = list(values)
+        rng.shuffle(order)
+        sample = systematic_pps_sample(values, k, rng=np.random.default_rng(seed + 3000))
+        assert [sampled.item for sampled in sample] == systematic_loop(order, rng)
+
+        rng = np.random.default_rng(seed + 4000)
+        positive = {item: value for item, value in values.items() if value > 0}
+        small = [item for item in positive if probabilities[item] < 1.0]
+        certain = [item for item in positive if probabilities[item] >= 1.0]
+        rng.shuffle(small)
+        reference = certain + systematic_loop(small, rng)
+        sample = varopt_sample(values, k, rng=np.random.default_rng(seed + 4000))
+        assert [sampled.item for sampled in sample] == reference

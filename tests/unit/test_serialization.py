@@ -17,7 +17,6 @@ Pinned guarantees:
 from __future__ import annotations
 
 import json
-import random
 
 import numpy as np
 import pytest
@@ -181,7 +180,7 @@ def test_count_sketch_round_trip(batch_workload):
 
 def test_priority_sample_round_trip():
     values = {f"item{index}": float(index + 1) for index in range(200)}
-    original = PrioritySample(values, sample_size=25, rng=random.Random(SEED))
+    original = PrioritySample(values, sample_size=25, rng=np.random.default_rng(SEED))
     restored = PrioritySample.from_bytes(original.to_bytes())
     assert restored.estimates() == original.estimates()
     assert restored.threshold == original.threshold
@@ -191,7 +190,7 @@ def test_priority_sample_round_trip():
 
 
 def test_streaming_priority_sampler_round_trip_and_continuation():
-    original = StreamingPrioritySampler(16, rng=random.Random(SEED))
+    original = StreamingPrioritySampler(16, rng=np.random.default_rng(SEED))
     original.extend((f"item{index}", float(index % 17 + 1)) for index in range(300))
     restored = StreamingPrioritySampler.from_bytes(original.to_bytes())
 

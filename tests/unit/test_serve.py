@@ -24,6 +24,7 @@ from repro.errors import (
     SessionNotFoundError,
 )
 from repro.serve import (
+    ServeClient,
     ServedSession,
     ServeStats,
     SketchRegistry,
@@ -428,10 +429,11 @@ class TestServedSession:
                 window="tumbling:1m", seed=0,
             )
             # Coalesced group: pane-0 rows apply, then the pane-1 slice
-            # fails on an unconvertible weight.
+            # fails on a negative weight (finite, so it passes enqueue;
+            # the pane's sketch refuses it).
             assert served.offer_batch(["a"], timestamps=[5.0])
             assert served.offer_batch(
-                ["b", "c"], [1.0, None], timestamps=[8.0, 65.0]
+                ["b", "c"], [1.0, -1.0], timestamps=[8.0, 65.0]
             )
             await served.drain()
             return served
@@ -478,6 +480,40 @@ class TestServedSession:
             return sent, sent_again
 
         assert asyncio.run(drive()) == (3, 2)
+
+    @pytest.mark.parametrize("block", [True, False])
+    @pytest.mark.parametrize(
+        "columns",
+        [
+            {"timestamps": [1.0, float("nan")]},
+            {"timestamps": np.array([1.0, np.inf])},
+            {"weights": [1.0, float("nan")], "timestamps": [1.0, 2.0]},
+            {"weights": [None, 1.0]},
+            {"weights": [[1.0], [2.0]]},
+        ],
+        ids=["nan-timestamp", "inf-timestamp-array", "nan-weight", "none-weight", "nested"],
+    )
+    def test_non_finite_column_is_refused_at_enqueue(self, columns, block):
+        """In process, the wire's finite-real check runs before enqueue:
+        a typed error, and no batch for the writer to fail later."""
+
+        async def drive():
+            server = SketchServer()
+            client = ServeClient(server)
+            await client.create(
+                "d", "unbiased_space_saving", size=8, window="decay:exp:0.001", seed=0
+            )
+            with pytest.raises(InvalidParameterError, match="finite real numbers"):
+                await client.update_batch("d", ["a", "b"], block=block, **columns)
+            await client.flush("d")
+            info = await client.info("d")
+            await server.stop()
+            return info
+
+        info = asyncio.run(drive())
+        assert info["serving"]["failed_batches"] == 0
+        assert info["serving"]["rows_enqueued"] == 0
+        assert info["rows_processed"] == 0
 
     def test_final_checkpoint_happens_after_sessions_close(self, tmp_path):
         """Nothing can be accepted after the state the checkpoint captured."""

@@ -420,6 +420,18 @@ class TestDecayedWindow:
         with pytest.raises(InvalidParameterError):
             sketch.estimate("a", at_time=1.0)
 
+    @pytest.mark.parametrize("policy", ["decay:poly:2", "decay:exp:0.001"])
+    def test_empty_session_answers_nothing(self, policy):
+        session = repro.build("unbiased_space_saving", size=8, window=policy, seed=0)
+        assert session.estimates() == {}
+        assert session.estimator.total_estimate() == 0.0
+        assert session.total().estimate == 0.0
+        assert session.estimate("a").estimate == 0.0
+        # An empty sketch still refuses a query before the landmark.
+        if policy.startswith("decay:poly"):
+            with pytest.raises(InvalidParameterError, match="precedes"):
+                session.estimator.estimates(at_time=-1.0)
+
     # -- refusals leave the state byte-unchanged -----------------------
     @pytest.mark.parametrize(
         "policy, weights, timestamps",
