@@ -23,6 +23,10 @@ timestamped generators in :mod:`repro.streams.generators` produce and
 windowed sessions consume — but a :class:`SourceBatch` stores them as
 three parallel columns so a batch can flow straight into
 ``update_batch(items, weights, timestamps)`` without a transpose.
+:class:`~repro.connectors.log.LogSource` keeps its partitions in that
+columnar form, so its polls are slices; sources that read rows one at a
+time (a tailed file, a firehose response) transpose them once with
+:func:`rows_to_columns`.
 """
 
 from __future__ import annotations

@@ -1,7 +1,10 @@
 """A partitioned append-only log source (the Kafka-shaped connector).
 
 :class:`LogSource` holds N named partitions of ``(item, weight, ts)``
-records.  Producers ``append``/``extend`` rows — routed to a partition by
+records, each stored as three parallel columns (items, float weights,
+float timestamps), so a poll is three slices and hands the driver the
+:class:`~repro.connectors.base.SourceBatch` columns without a transpose.
+Producers ``append``/``extend`` rows — routed to a partition by
 the package's stable label hash, so all rows of one item land in one
 partition, mirroring how key-sharded serve sessions split the same
 space — and consumers ``poll(partition, offset, max_rows)`` with offsets
@@ -45,6 +48,20 @@ __all__ = ["LogSource"]
 Row = Tuple[Item, float, float]
 
 
+class _Partition:
+    """One partition's rows as three aligned columns."""
+
+    __slots__ = ("items", "weights", "timestamps")
+
+    def __init__(self) -> None:
+        self.items: List[Item] = []
+        self.weights: List[float] = []
+        self.timestamps: List[float] = []
+
+    def __len__(self) -> int:
+        return len(self.items)
+
+
 class LogSource:
     """An in-memory partitioned append-only log implementing the source contract.
 
@@ -65,8 +82,8 @@ class LogSource:
                 f"num_partitions must be >= 1, got {num_partitions}"
             )
         self._seed = int(seed)
-        self._partitions: Dict[str, List[Row]] = {
-            f"p{index}": [] for index in range(num_partitions)
+        self._partitions: Dict[str, _Partition] = {
+            f"p{index}": _Partition() for index in range(num_partitions)
         }
 
     @classmethod
@@ -102,7 +119,11 @@ class LogSource:
         if partition is None:
             index = stable_shard(item, len(self._partitions), seed=self._seed)
             partition = f"p{index}"
-        self._log(partition).append((item, float(weight), float(timestamp)))
+        log = self._log(partition)
+        weight, timestamp = float(weight), float(timestamp)
+        log.items.append(item)
+        log.weights.append(weight)
+        log.timestamps.append(timestamp)
         return partition
 
     def extend(self, rows: Iterable[Row]) -> int:
@@ -125,7 +146,9 @@ class LogSource:
                 f"end_offset must be >= 0, got {end_offset}"
             )
         log = self._log(partition)
-        del log[end_offset:]
+        del log.items[end_offset:]
+        del log.weights[end_offset:]
+        del log.timestamps[end_offset:]
 
     # ------------------------------------------------------------------
     # Consumer side (the SourceProtocol surface)
@@ -150,10 +173,17 @@ class LogSource:
                 "rewound since the offset was recorded; re-seed the "
                 "consumer instead of replaying from a stale position"
             )
-        rows = log[offset : offset + max_rows]
-        return SourceBatch.from_rows(partition, rows, offset + len(rows))
+        end = offset + max_rows
+        items = log.items[offset:end]
+        return SourceBatch(
+            partition=partition,
+            items=items,
+            weights=log.weights[offset:end],
+            timestamps=log.timestamps[offset:end],
+            next_offset=offset + len(items),
+        )
 
-    def _log(self, partition: str) -> List[Row]:
+    def _log(self, partition: str) -> _Partition:
         try:
             return self._partitions[partition]
         except KeyError:

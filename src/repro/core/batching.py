@@ -15,7 +15,16 @@ item, in first-occurrence order, using a vectorized :func:`numpy.unique` /
 :func:`numpy.bincount` path for numpy arrays and an ordered dict-collapse
 for generic Python sequences.  ``FrequentItemSketch.update_batch`` and the
 per-sketch overrides all funnel through it, so the batch semantics are
-identical everywhere:
+identical everywhere.
+
+A list of plain Python ints takes the numpy path too: :func:`int_column`
+is the one rule that decides when a label list is an int64 column (every
+element exactly ``int`` — not ``bool``, not a subclass such as
+``IntEnum`` — and every value within int64).  Space Saving's
+``update_batch``, the windowed pane router and the counter store's
+membership lookup all ask it, so a list of ints and the same rows as an
+int64 array collapse, route and serialize identically; any other list
+keeps the dict collapse and its labels exactly as given.  The semantics:
 
 * The batch is equivalent to a scalar ``update`` loop over the collapsed
   ``(item, weight)`` pairs in first-occurrence order.  For purely additive
@@ -41,6 +50,8 @@ __all__ = [
     "CollapsedBatch",
     "collapse_batch",
     "collapse_batch_arrays",
+    "int_column",
+    "as_sequence",
     "unit_rows",
     "iter_weighted_rows",
     "positive_weights",
@@ -58,7 +69,36 @@ def _row_order_sum(weights: np.ndarray) -> float:
     """The weights' sum added in row order, as the list collapse adds it
     (``ndarray.sum`` adds pairwise and can differ in the last bit), so a
     batch totals the same in either container."""
+    if weights.size == 0:
+        return 0.0
     return float(np.cumsum(weights, dtype=np.float64)[-1])
+
+
+def as_sequence(values: Iterable) -> Sequence:
+    """``values`` itself when it is a list, tuple or array, else a list
+    of it: a sized sequence that can be read twice, copied only when the
+    input is a one-shot iterable."""
+    if isinstance(values, (list, tuple, np.ndarray)):
+        return values
+    return list(values)
+
+
+def int_column(labels) -> Optional[np.ndarray]:
+    """``labels`` as an int64 array when the list is a column of plain ints.
+
+    Returns ``None`` — keep the generic path — unless ``labels`` is a
+    non-empty list or tuple whose every element is exactly ``int`` and
+    fits in int64.  ``bool`` and ``int`` subclasses (``IntEnum``) are
+    excluded so their labels are never rewritten as plain ints; the
+    counter store lowers numpy labels back to Python ints, so the two
+    containers hold the same labels.
+    """
+    if not isinstance(labels, (list, tuple)) or set(map(type, labels)) != {int}:
+        return None
+    try:
+        return np.array(labels, dtype=np.int64)
+    except OverflowError:
+        return None
 
 
 def _collapse_numpy_core(
@@ -146,6 +186,19 @@ def _collapse_generic(
     return list(aggregated), list(aggregated.values()), row_count, total
 
 
+def _aligned_weights(items: np.ndarray, weights) -> Optional[np.ndarray]:
+    """``weights`` as a float64 column shaped like ``items`` (``None``: unit)."""
+    if weights is None:
+        return None
+    column = np.asarray(as_sequence(weights), dtype=np.float64)
+    if column.shape != items.shape:
+        raise InvalidParameterError(
+            f"items and weights must align: got shapes "
+            f"{items.shape} and {column.shape}"
+        )
+    return column
+
+
 def collapse_batch(items: Iterable[Item], weights: WeightsLike = None) -> CollapsedBatch:
     """Pre-aggregate a batch of rows into one weighted update per distinct item.
 
@@ -171,15 +224,7 @@ def collapse_batch(items: Iterable[Item], weights: WeightsLike = None) -> Collap
             raise InvalidParameterError(
                 f"item arrays must be 1-dimensional, got shape {items.shape}"
             )
-        if weights is not None:
-            weights_array = np.asarray(weights, dtype=np.float64)
-            if weights_array.shape != items.shape:
-                raise InvalidParameterError(
-                    f"items and weights must align: got shapes "
-                    f"{items.shape} and {weights_array.shape}"
-                )
-        else:
-            weights_array = None
+        weights_array = _aligned_weights(items, weights)
         if items.dtype != object:
             return _collapse_numpy(items, weights_array)
         return _collapse_generic(
@@ -211,16 +256,7 @@ def collapse_batch_arrays(
         raise InvalidParameterError(
             f"item arrays must be 1-dimensional, got shape {items.shape}"
         )
-    if weights is not None:
-        weights_array = np.asarray(weights, dtype=np.float64)
-        if weights_array.shape != items.shape:
-            raise InvalidParameterError(
-                f"items and weights must align: got shapes "
-                f"{items.shape} and {weights_array.shape}"
-            )
-    else:
-        weights_array = None
-    return _collapse_numpy_core(items, weights_array)
+    return _collapse_numpy_core(items, _aligned_weights(items, weights))
 
 
 def positive_weights(weights, error: Callable[[], Exception]) -> np.ndarray:

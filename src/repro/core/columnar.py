@@ -87,6 +87,7 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro._typing import Item
+from repro.core.batching import int_column
 from repro.errors import EmptySketchError, InvalidParameterError, SerializationError
 from repro.io.codec import decode_item, encode_item, generator_from_state
 
@@ -586,20 +587,10 @@ class ColumnarCounterStore:
         """Slot per batch item (-1 when absent), vectorized when possible."""
         index = self._index
         if index and self._int_labels:
-            arr: Optional[np.ndarray] = None
             if isinstance(unique, np.ndarray):
-                if unique.dtype.kind in "iu":
-                    arr = unique
+                arr = unique if unique.dtype.kind in "iu" else None
             else:
-                # Let numpy infer the dtype first: forcing int64 on a
-                # mixed int/float batch would silently truncate labels
-                # (2.5 -> 2) and credit their weight to the wrong bin.
-                try:
-                    cast = np.asarray(unique)
-                except (TypeError, ValueError, OverflowError):
-                    cast = None
-                if cast is not None and cast.dtype.kind in "iu":
-                    arr = cast.astype(np.int64, copy=False)
+                arr = int_column(unique)
             if arr is not None:
                 slots = self._member_slots_sorted(arr)
                 if slots is not None:

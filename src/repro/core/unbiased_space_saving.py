@@ -29,7 +29,7 @@ import numpy as np
 
 from repro._typing import Item, ItemPredicate, Seed
 from repro.core.base import FrequentItemSketch, SubsetSumSketch
-from repro.core.batching import collapse_batch, collapse_batch_arrays, positive_weights
+from repro.core.batching import collapse_batch, collapse_batch_arrays, int_column, positive_weights
 from repro.core.columnar import ColumnarCounterStore
 from repro.core.variance import EstimateWithError, subset_variance_estimate
 from repro.errors import InvalidParameterError, UnsupportedUpdateError
@@ -113,10 +113,12 @@ class SpaceSaving(FrequentItemSketch, SerializableSketch):
         is not draw-for-draw identical to a per-row :meth:`update` loop.
         Collapsing preserves unbiasedness because a weighted update *is*
         the §5.3 pairwise PPS reduction of the collapsed rows.
-        ``rows_processed`` still counts raw rows.
+        ``rows_processed`` still counts raw rows.  A list of plain ints
+        collapses as the int64 array it equals (:func:`int_column`).
         """
-        if isinstance(items, np.ndarray) and items.dtype != object:
-            unique, collapsed, row_count, total = collapse_batch_arrays(items, weights)
+        column = items if isinstance(items, np.ndarray) else int_column(items)
+        if column is not None and column.dtype != object:
+            unique, collapsed, row_count, total = collapse_batch_arrays(column, weights)
         else:
             unique, collapsed, row_count, total = collapse_batch(items, weights)
         return self._ingest_collapsed(unique, collapsed, row_count, total)

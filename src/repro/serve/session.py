@@ -33,6 +33,7 @@ import numpy as np
 
 from repro._typing import Item, ItemPredicate
 from repro.api.session import StreamSession
+from repro.core.batching import as_sequence
 from repro.errors import (
     InvalidParameterError,
     QuotaExceededError,
@@ -45,15 +46,6 @@ __all__ = ["ServedSession", "ServeStats"]
 #: Queue sentinel telling the writer task to exit after the batches ahead
 #: of it have been applied.
 _SHUTDOWN = object()
-
-
-def _materialize(values: Optional[Iterable]) -> Optional[Sequence]:
-    """Snapshot an iterable so the queue holds stable, sized sequences."""
-    if values is None:
-        return None
-    if isinstance(values, (list, tuple, np.ndarray)):
-        return values
-    return list(values)
 
 
 @dataclass
@@ -254,19 +246,19 @@ class ServedSession:
             raise ServerClosedError(
                 f"session {self._tenant!r}/{self._name!r} is closed to new rows"
             )
-        items = _materialize(items)
+        items = as_sequence(items)
         rows = len(items)
         # Non-finite reals are refused here, not in the writer, so a bad
         # row never becomes an enqueued batch that fails later.
         if weights is not None:
-            weights = _materialize(weights)
+            weights = as_sequence(weights)
             if len(weights) != rows:
                 raise InvalidParameterError(
                     f"weights length {len(weights)} != items length {rows}"
                 )
             check_finite("weights", weights)
         if timestamps is not None:
-            timestamps = _materialize(timestamps)
+            timestamps = as_sequence(timestamps)
             if len(timestamps) != rows:
                 raise InvalidParameterError(
                     f"timestamps length {len(timestamps)} != items length {rows}"

@@ -41,6 +41,7 @@ import numpy as np
 from repro._typing import Item, ItemPredicate
 from repro.api.protocols import HEAVY_HITTERS, POINT, SERIALIZE, SUBSET_SUM
 from repro.core.base import check_k, check_phi, ranked_pairs
+from repro.core.batching import as_sequence
 from repro.core.unbiased_space_saving import UnbiasedSpaceSaving
 from repro.core.variance import EstimateWithError
 from repro.errors import InvalidParameterError
@@ -58,9 +59,7 @@ def _column(values, count: int, default: float, name: str) -> np.ndarray:
     """``values`` as a float64 column of ``count`` rows (``default`` if None)."""
     if values is None:
         return np.full(count, default, dtype=np.float64)
-    column = np.asarray(
-        values if isinstance(values, np.ndarray) else list(values), dtype=np.float64
-    )
+    column = np.asarray(as_sequence(values), dtype=np.float64)
     if column.shape != (count,):
         raise InvalidParameterError(
             f"{name} has {column.size} entries for {count} items"
@@ -208,7 +207,7 @@ class DecayedWindowSketch(SerializableSketch):
             polynomial decay, or a row's decayed weight is not positive
             and finite.  A refused batch leaves the sketch unchanged.
         """
-        item_list = items if isinstance(items, (list, np.ndarray)) else list(items)
+        item_list = as_sequence(items)
         if len(item_list) == 0:
             return self
         decayed, newest = self._decay(len(item_list), weights, timestamps)

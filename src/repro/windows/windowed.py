@@ -40,7 +40,7 @@ from repro._typing import Item, ItemPredicate
 from repro.api.protocols import HEAVY_HITTERS, POINT, SERIALIZE, SUBSET_SUM
 from repro.api.specs import get_spec
 from repro.core.base import check_k, check_phi, ranked_pairs
-from repro.core.batching import iter_weighted_rows
+from repro.core.batching import _row_order_sum, as_sequence, int_column, iter_weighted_rows
 from repro.core.merge import combine_estimates, merge_many_unbiased
 from repro.core.unbiased_space_saving import UnbiasedSpaceSaving
 from repro.core.variance import EstimateWithError
@@ -325,9 +325,11 @@ class _PaneRingSketch(SerializableSketch):
         """Batched ingestion, routed per pane.
 
         With ``timestamps`` the batch is partitioned by window index (a
-        vectorized grouping for numpy inputs) and each slice goes through
-        the owning pane's own ``update_batch`` fast path, in ascending
-        window order — i.e. the batch behaves like a timestamp-ordered
+        vectorized grouping; numpy labels and lists of plain ints slice by
+        fancy indexing, see :func:`~repro.core.batching.int_column`) and
+        each slice goes through the owning pane's own ``update_batch``
+        fast path, in ascending window order — i.e. the batch behaves like
+        a timestamp-ordered
         replay: panes rotate between slices exactly as they would row by
         row, and a batch spanning more than the horizon simply expires its
         oldest panes before it finishes.  Rows stale relative to data seen
@@ -338,30 +340,29 @@ class _PaneRingSketch(SerializableSketch):
         the bad row.
         """
         if timestamps is None:
-            item_list = items if isinstance(items, (list, np.ndarray)) else list(items)
-            weight_list = (
-                weights
-                if weights is None or isinstance(weights, (list, np.ndarray))
-                else list(weights)
-            )
+            item_list = as_sequence(items)
+            weight_list = None if weights is None else as_sequence(weights)
             pane = self._route(None)
             pane.update_batch(item_list, weight_list)
             row_count = len(item_list)
-            total = float(np.sum(weight_list)) if weight_list is not None else float(row_count)
             self._rows_processed += row_count
-            self._total_weight += total
+            self._total_weight += (
+                float(row_count)
+                if weight_list is None
+                else _row_order_sum(np.asarray(weight_list, dtype=np.float64))
+            )
             self._version += 1
             return self
 
-        ts = np.asarray(list(timestamps) if not isinstance(timestamps, np.ndarray) else timestamps, dtype=np.float64)
+        ts = np.asarray(as_sequence(timestamps), dtype=np.float64)
         if np.any(ts < self._origin):
             raise InvalidParameterError(
                 f"timestamps must not precede the window origin {self._origin}"
             )
-        item_array = items if isinstance(items, np.ndarray) else None
-        item_list = None if item_array is not None else (
-            items if isinstance(items, list) else list(items)
-        )
+        # Lists of plain ints route as the int64 column they equal, so each
+        # pane slice is one fancy index instead of a per-row gather.
+        item_list = None if isinstance(items, np.ndarray) else as_sequence(items)
+        item_array = items if item_list is None else int_column(item_list)
         batch_len = len(item_array) if item_array is not None else len(item_list)
         if batch_len != int(ts.size):
             raise InvalidParameterError(
@@ -381,10 +382,7 @@ class _PaneRingSketch(SerializableSketch):
             )
         weight_array = None
         if weights is not None:
-            weight_array = np.asarray(
-                weights if isinstance(weights, np.ndarray) else list(weights),
-                dtype=np.float64,
-            )
+            weight_array = np.asarray(as_sequence(weights), dtype=np.float64)
             if len(weight_array) != batch_len:
                 raise InvalidParameterError(
                     f"items and weights must align: got {batch_len} items "
@@ -410,7 +408,7 @@ class _PaneRingSketch(SerializableSketch):
                 self._latest_timestamp = newest
             self._rows_processed += int(group.size)
             self._total_weight += (
-                float(slice_weights.sum())
+                _row_order_sum(slice_weights)
                 if slice_weights is not None
                 else float(group.size)
             )

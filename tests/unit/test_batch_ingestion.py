@@ -12,14 +12,19 @@ Three families of guarantees are pinned down here:
    exactly.
 3. ``ShardedSketch`` answers match manually built per-shard sketches and a
    single merged sketch produced by ``merge_many_unbiased``.
+
+A list of plain Python ints ingests as the int64 array it equals, byte for
+byte; every other list keeps the dict collapse and its labels exactly.
 """
 
 from __future__ import annotations
 
+import enum
+
 import numpy as np
 import pytest
 
-from repro.core.batching import collapse_batch
+from repro.core.batching import collapse_batch, int_column
 from repro.core.deterministic_space_saving import DeterministicSpaceSaving
 from repro.core.merge import merge_many_unbiased
 from repro.core.unbiased_space_saving import UnbiasedSpaceSaving
@@ -35,6 +40,8 @@ from repro.frequent.sticky_sampling import StickySamplingSketch
 from repro.sampling.bottom_k import BottomKSketch
 from repro.sampling.priority import PrioritySample, StreamingPrioritySampler
 from repro.sampling.varopt import varopt_sample, varopt_sample_batch
+from repro.windows.decayed import DecayedWindowSketch
+from repro.windows.windowed import SlidingWindowSketch
 
 
 # ----------------------------------------------------------------------
@@ -475,3 +482,96 @@ class TestShardedSketch:
             sketch.top_k(-1)
         with pytest.raises(InvalidParameterError):
             stable_shard("a", 0)
+
+
+# ----------------------------------------------------------------------
+# int_column: lists of plain ints take the array path
+# ----------------------------------------------------------------------
+class _Color(enum.IntEnum):
+    RED = 1
+    BLUE = 2
+
+
+#: Sketches whose list ingest asks :func:`int_column`, and whether their
+#: ``update_batch`` takes timestamps.
+INT_LIST_SKETCHES = {
+    "uss": (lambda: UnbiasedSpaceSaving(32, seed=4), False),
+    "dss": (lambda: DeterministicSpaceSaving(32, seed=4), False),
+    "sliding": (
+        lambda: SlidingWindowSketch(32, horizon="40s", pane="10s", seed=4), True
+    ),
+    "decay": (lambda: DecayedWindowSketch(32, policy="decay:exp:0.05", seed=4), True),
+}
+
+
+def _ingest(kind, batches):
+    make, timestamped = INT_LIST_SKETCHES[kind]
+    sketch = make()
+    for items, weights, timestamps in batches:
+        if timestamped:
+            sketch.update_batch(items, weights, timestamps)
+        else:
+            sketch.update_batch(items, weights)
+    return sketch
+
+
+class TestIntLabelLists:
+    def test_int_column_accepts_only_plain_int64_lists(self):
+        column = int_column([3, -1, 2**63 - 1])
+        assert column.dtype == np.int64
+        assert column.tolist() == [3, -1, 2**63 - 1]
+        for labels in (
+            [], [True, 1], [1, "a"], [1, 2.0], [2**63], [_Color.RED, 2],
+            np.arange(3), iter([1, 2]),
+        ):
+            assert int_column(labels) is None
+
+    @pytest.mark.parametrize("kind", sorted(INT_LIST_SKETCHES))
+    def test_list_and_array_ingest_write_equal_frames(self, kind):
+        rng = np.random.default_rng(21)
+        labels = (rng.zipf(1.3, size=3000) % 400).astype(np.int64) - 50
+        labels[::97] = 2**62 + labels[::97]  # sparse values: the np.unique path
+        weights = rng.uniform(0.5, 2.0, size=labels.size)
+        timestamps = np.sort(rng.uniform(0.0, 50.0, size=labels.size))
+        parts = [slice(start, start + 750) for start in range(0, labels.size, 750)]
+        as_arrays = [
+            (labels[part], None if i % 2 else weights[part], timestamps[part])
+            for i, part in enumerate(parts)
+        ]
+        as_lists = [
+            (items.tolist(), None if w is None else w.tolist(), ts.tolist())
+            for items, w, ts in as_arrays
+        ]
+        from_lists = _ingest(kind, as_lists).to_bytes()
+        assert from_lists == _ingest(kind, as_arrays).to_bytes()
+
+    def test_a_missing_weight_fails_the_weight_rule_in_either_container(self):
+        # The float64 weight column reads None as NaN, which the Space
+        # Saving weight rule refuses with its typed error (the dict
+        # collapse raised TypeError from float(None)); nothing is applied.
+        for labels in ([1, 2], np.array([1, 2])):
+            sketch = UnbiasedSpaceSaving(8, seed=0)
+            with pytest.raises(UnsupportedUpdateError):
+                sketch.update_batch(labels, [1.0, None])
+            assert sketch.rows_processed == 0
+
+    @pytest.mark.parametrize(
+        "labels",
+        [
+            [True, False, True, True],
+            [1, "a", 1, 2],
+            [1, 2.5, 1, 2],
+            [2**63, 1, 2**64 + 5, 1],
+            [_Color.RED, _Color.BLUE, _Color.RED, _Color.RED],
+        ],
+        ids=["bool", "int-str", "int-float", "above-int64", "int-enum"],
+    )
+    @pytest.mark.parametrize("kind", sorted(INT_LIST_SKETCHES))
+    def test_other_lists_keep_their_labels(self, kind, labels):
+        # A store that already holds int labels must not read the new
+        # batch as an int column either.
+        ints = ([7, 8], None, [0.5, 1.0])
+        batch = (labels, [1.0] * len(labels), [1.0 + i for i in range(len(labels))])
+        sketch = _ingest(kind, [ints, batch])
+        held = {(type(label), label) for label in sketch.estimates()}
+        assert {(type(label), label) for label in labels} <= held

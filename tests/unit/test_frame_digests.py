@@ -12,20 +12,29 @@ state (and the ``store`` keys only version-1 readers used); their labels,
 counts, priorities and kernel generator state did not move.  The merge
 and demotion frames moved because the reduction now draws from the same
 ``PCG64`` generator as the merged sketch, before its priorities.
+
+The ``pipeline_frame`` digest was recorded before ``LogSource`` stored its
+partitions as columns and lists of plain ints took the array collapse: the
+end-to-end driver path moved no byte.  Its weights are halves and small
+integers, so every total is exact whichever order the rows are added in.
 """
 
 from __future__ import annotations
 
+import asyncio
 import hashlib
 
 import numpy as np
 import pytest
 
 import repro
+from repro.connectors import LogSource, PipelineDriver
 from repro.core.deterministic_space_saving import DeterministicSpaceSaving
 from repro.core.merge import merge_unbiased
 from repro.core.unbiased_space_saving import UnbiasedSpaceSaving
+from repro.serve import ServeClient, SketchServer
 from repro.serve.tiering import demote_session
+from repro.streams import bursty_soak_stream
 from repro.windows.decayed import DecayedWindowSketch
 from repro.windows.windowed import SlidingWindowSketch
 
@@ -109,6 +118,35 @@ def _decayed_answers():
     )
 
 
+def _pipeline_frame() -> bytes:
+    """A driver drains a seeded 3-partition log into a served sliding window."""
+    rows = bursty_soak_stream(
+        4000, hours=1.0, num_items=300, bursts_per_hour=2.0, burst_rows=300,
+        rng=np.random.default_rng(13),
+    )
+    weights = np.random.default_rng(14).integers(1, 5, size=len(rows)) / 2.0
+    source = LogSource.from_rows(
+        [(item, weight, ts) for (item, _, ts), weight in zip(rows, weights.tolist())],
+        num_partitions=3,
+        seed=13,
+    )
+
+    async def drain() -> bytes:
+        async with SketchServer() as server:
+            client = ServeClient(server)
+            # The horizon spans the whole hour: the driver polls by row
+            # count, so a lagging partition's rows must stay in the window.
+            await client.create(
+                "pipe", "unbiased_space_saving", size=48, seed=13,
+                window="sliding:4800s/300s",
+            )
+            driver = PipelineDriver(source, client, session="pipe", batch_rows=250)
+            await driver.run(final_checkpoint=False)
+            return (await client.export("pipe"))["frame"]
+
+    return asyncio.run(drain())
+
+
 CASES = {
     "uss_frame": lambda: _sketch_frame("uss"),
     "dss_frame": lambda: _sketch_frame("dss"),
@@ -118,6 +156,7 @@ CASES = {
     "window_dss_answers": lambda: _window_answers("deterministic_space_saving"),
     "decay_frame": lambda: _decayed_sketch().to_bytes(),
     "decay_answers": _decayed_answers,
+    "pipeline_frame": _pipeline_frame,
 }
 
 GOLDEN = {
@@ -129,6 +168,7 @@ GOLDEN = {
     "window_dss_answers": "67eb2cb9676d19c2",
     "decay_frame": "23ea31593a9449b4",
     "decay_answers": "b3e4b980929acdb6",
+    "pipeline_frame": "60a0882638b1f6c2",
 }
 
 

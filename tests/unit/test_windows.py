@@ -11,6 +11,7 @@ import repro
 from repro.core.unbiased_space_saving import UnbiasedSpaceSaving
 from repro.errors import CapabilityError, InvalidParameterError
 from repro.io import load_bytes
+from repro.io.codec import unpack_envelope
 from repro.windows import (
     DecayedWindowSketch,
     DecayPolicy,
@@ -256,6 +257,33 @@ class TestWindowedQueries:
         assert batched.estimates() == scalar.estimates()
         assert batched.total_estimate() == scalar.total_estimate()
         assert batched.rows_processed == scalar.rows_processed
+
+    @pytest.mark.parametrize("timestamped", [True, False])
+    def test_total_weight_adds_rows_in_order(self, timestamped):
+        # The lifetime total (and the frame's copy of it) adds each pane
+        # slice row by row, as the pane's own total and a scalar replay
+        # do; a pairwise ndarray.sum would differ in the last bit.
+        weights = np.random.default_rng(0).uniform(0.5, 2.0, size=1000)
+        timestamps = np.full(weights.size, 5.0) if timestamped else None
+        batched = SlidingWindowSketch(64, horizon="40s", pane="10s", seed=9)
+        batched.update_batch(
+            (np.arange(weights.size) % 50).tolist(), weights.tolist(), timestamps
+        )
+        scalar = SlidingWindowSketch(64, horizon="40s", pane="10s", seed=9)
+        for weight in weights.tolist():
+            scalar.update("x", weight, 5.0 if timestamped else None)
+        _, _, meta, _ = unpack_envelope(batched.to_bytes())
+        assert float(np.sum(weights)) != scalar.total_weight  # the case bites
+        assert batched.total_weight == meta["total_weight"]
+        assert batched.total_weight == batched.total_estimate()
+        assert batched.total_weight == scalar.total_weight
+
+    def test_empty_weighted_batch_adds_nothing(self):
+        sketch = SlidingWindowSketch(16, horizon="20s", pane="10s", seed=0)
+        sketch.update_batch([], [])
+        sketch.update_batch([], [], [])
+        assert sketch.total_weight == 0.0
+        assert sketch.rows_processed == 0
 
     def test_stale_batch_rejected_without_partial_ingest(self):
         sketch = SlidingWindowSketch(16, horizon="20s", pane="10s", seed=0)
