@@ -1,7 +1,7 @@
 """pytest-benchmark micro-benchmarks for the columnar kernel's hot paths.
 
-The end-to-end number (``bench_update_throughput.py``) tells you *that*
-batched ingestion regressed; these cases tell you *where*.  Each one
+The end-to-end numbers (``perfbench/run.py``) tell you *that* ingestion
+regressed; these cases tell you *where*.  Each one
 isolates a single phase of :meth:`ColumnarCounterStore.apply_batch`:
 
 * **scatter-add** — the all-present steady state: one fancy-indexed

@@ -18,7 +18,7 @@ and the stream total — are **bit-identical**, which is the exactly-once
 contract the connectors docs promise.  A mismatch exits non-zero, so CI
 can gate on it (the ``soak-resume`` job runs this at smoke scale).
 
-The JSON record lands next to the perf record in ``benchmarks/results/``
+The JSON record lands in ``benchmarks/results/`` (not committed)
 and is uploaded by CI as a trend artifact.
 """
 

@@ -31,7 +31,7 @@ Pieces (importable individually):
 * :class:`ServeMetrics` / :class:`LatencyHistogram` — the observability
   layer behind ``SketchServer.metrics()`` and the ``metrics`` wire op.
 * :mod:`repro.serve.load` — multi-producer load generators used by the
-  ``serve`` benchmark mode.
+  serve example and the benchmarks.
 
 Quickstart (in-process)::
 

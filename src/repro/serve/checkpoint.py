@@ -23,15 +23,13 @@ from __future__ import annotations
 
 import asyncio
 import json
-import os
-import uuid
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 from urllib.parse import quote
 
 from repro.api.session import StreamSession
 from repro.errors import SerializationError
-from repro.io.checkpoint import load_checkpoint, save_checkpoint
+from repro.io.checkpoint import load_checkpoint, save_checkpoint, write_atomic
 from repro.serve.registry import SketchRegistry
 from repro.serve.session import ServedSession
 
@@ -62,9 +60,7 @@ def _session_filename(served: ServedSession) -> str:
 
 
 def _write_manifest(directory: Path, manifest: Dict[str, Any]) -> None:
-    staging = directory / f".{MANIFEST_NAME}.{os.getpid()}.{uuid.uuid4().hex}.tmp"
-    staging.write_text(json.dumps(manifest, indent=2) + "\n")
-    os.replace(staging, directory / MANIFEST_NAME)
+    write_atomic(directory / MANIFEST_NAME, (json.dumps(manifest, indent=2) + "\n").encode())
 
 
 def checkpoint_registry(

@@ -1,7 +1,7 @@
 """Multi-producer load generation against a serve client.
 
-The helpers here drive sustained ingest the way the throughput benchmark
-and the serve example need it: a workload is split into batches
+The helpers here drive sustained ingest the way the update
+micro-benchmarks and the serve example need it: a workload is split into batches
 (:func:`repro.streams.generators.chunk_stream`), the batches are dealt
 round-robin to ``num_producers`` concurrent producer tasks, and each
 producer awaits the session's bounded queue — so the measured rate is
@@ -9,7 +9,7 @@ the served ingest path under real backpressure, not a free-running loop.
 
 :func:`measure_query_latency` runs alongside the producers, timing reads
 against the same session while ingest is in full flight
-(query-under-load latency, recorded by the benchmark's ``serve`` mode).
+(query-under-load latency, as the soak benchmark records it).
 """
 
 from __future__ import annotations

@@ -53,6 +53,9 @@ __all__ = [
     "iter_timestamped_rows",
 ]
 
+#: What the ring calls on every pane, beyond the 'point' capability.
+_PANE_CONTRACT = ("update", "update_batch", "estimates", "total_weight")
+
 
 def iter_timestamped_rows(rows: Iterable) -> Iterable[Tuple[Item, float, Optional[float]]]:
     """Normalize a stream into ``(item, weight, timestamp-or-None)`` triples.
@@ -99,10 +102,13 @@ class _PaneRingSketch(SerializableSketch):
         if size < 1:
             raise InvalidParameterError("size must be a positive integer")
         sketch_spec = get_spec(spec)
-        if POINT not in sketch_spec.capabilities:
+        pane_type = sketch_spec.resolve()
+        missing = [name for name in _PANE_CONTRACT if not hasattr(pane_type, name)]
+        if POINT not in sketch_spec.capabilities or missing:
             raise CapabilityError(
-                f"windowed panes need the 'point' capability to enumerate "
-                f"window contents; spec {spec!r} does not declare it"
+                f"spec {spec!r} cannot be a windowed pane: panes need the "
+                f"'point' capability and {', '.join(_PANE_CONTRACT)}"
+                + (f"; it lacks {', '.join(missing)}" if missing else "")
             )
         unknown = set(spec_params) - set(sketch_spec.extra_params)
         if unknown:

@@ -22,6 +22,8 @@ import repro
 from repro.core.unbiased_space_saving import UnbiasedSpaceSaving
 from repro.distributed.sharded import ShardedSketch
 from repro.io import load_checkpoint, save_checkpoint
+from repro.serve.checkpoint import MANIFEST_NAME, checkpoint_registry
+from repro.serve.registry import SketchRegistry
 from repro.streams.epochs import EpochPartition
 from repro.streams.frequency import scaled_weibull_counts
 from repro.streams.generators import iterate_rows
@@ -83,6 +85,38 @@ def test_checkpoint_is_atomic_and_overwrites(tmp_path, epoch_setup):
     # Only the newest snapshot survives; no .tmp litter is left behind.
     assert load_checkpoint(checkpoint).rows_processed == snapshots[-1]
     assert list(tmp_path.iterdir()) == [checkpoint]
+
+
+def test_manifest_write_failing_midway_keeps_the_previous_manifest(
+    tmp_path, monkeypatch
+):
+    registry = SketchRegistry()
+    registry.create("a", "unbiased_space_saving", size=16, seed=0)
+    checkpoint_registry(registry, tmp_path)
+    manifest = tmp_path / MANIFEST_NAME
+    before = manifest.read_bytes()
+
+    # The second pass writes b's frame, then the manifest; the manifest's
+    # bytes are staged when its fsync fails.
+    registry.create("b", "unbiased_space_saving", size=16, seed=0)
+    real_fsync = os.fsync
+    calls = []
+
+    def fsync(fd):
+        calls.append(fd)
+        if len(calls) == 2:
+            raise OSError("disk gone")
+        real_fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    with pytest.raises(OSError, match="disk gone"):
+        checkpoint_registry(registry, tmp_path)
+    assert len(calls) == 2
+    assert manifest.read_bytes() == before
+    assert not list(tmp_path.glob("*.tmp"))
+    assert sorted(path.name for path in tmp_path.iterdir()) == [
+        "default__a.ckpt", "default__b.ckpt", MANIFEST_NAME,
+    ]
 
 
 def test_sharded_ensemble_checkpoint_on_epoch_stream(tmp_path, epoch_setup):

@@ -9,7 +9,9 @@ mode:
 * in the *exact regime* (distinct items <= capacity, so no bin is ever
   contested) identical estimates and identical ``EstimateWithError`` values
   across all four modes;
-* in the *churn regime* (distinct >> capacity) bit-identical results between
+* in the *churn regime* (distinct >> capacity) the exact stream total and
+  the true top 10 (at least 9 of them) in every mode, the per-row
+  ``update`` loop included, and bit-identical results between
   the mode pairs defined to be equivalent: inline vs served (batch
   boundaries preserved), in-process sharded vs served sharded (same
   routing, shard seeds and batch boundaries);
@@ -27,6 +29,8 @@ import numpy as np
 
 import repro
 from repro.serve import SketchRegistry
+from repro.streams.frequency import zipf_counts
+from repro.streams.generators import exchangeable_stream
 
 SEED = 20180618
 
@@ -101,6 +105,52 @@ class TestExactRegimeAllModes:
                 assert session.estimates() == expected, name
                 assert answers[name] == answers["inline"], name
                 assert answers[name].variance == 0.0, name
+        finally:
+            asyncio.run(registry.aclose_all())
+
+
+class TestChurnRegimeAllModes:
+    """distinct >> capacity: every mode keeps the exact total and the top 10."""
+
+    def test_five_modes_keep_total_and_top_ten(self):
+        model = zipf_counts(num_items=5000, exponent=1.1, total=60_000)
+        items = np.asarray(
+            exchangeable_stream(model, rng=np.random.default_rng(SEED)), dtype=np.int64
+        )
+        batches = batches_of(items, 5000)
+        timestamps = np.linspace(0.0, 600.0, num=len(items), endpoint=False)
+        true_top = {item for item, _ in model.sorted_items()[:10]}
+
+        scalar = repro.build("unbiased_space_saving", size=256, seed=7)
+        batched = repro.build("unbiased_space_saving", size=256, seed=7)
+        sharded = repro.build(
+            "unbiased_space_saving", size=256, seed=7, backend="sharded", num_shards=4,
+        )
+        windowed = repro.build(
+            "unbiased_space_saving", size=256, seed=7, window="sliding:20m/1m",
+        )
+        registry = SketchRegistry(coalesce=4)
+        served = registry.create("churn", "unbiased_space_saving", size=256, seed=7)
+        try:
+            for item in items.tolist():
+                scalar.update(item)
+            for batch, ts in zip(batches, batches_of(timestamps, 5000)):
+                batched.update_batch(batch)
+                sharded.update_batch(batch)
+                windowed.update_batch(batch, timestamps=ts)
+            drain_served([served], [batches])
+
+            sessions = {
+                "scalar": scalar,
+                "batched": batched,
+                "sharded": sharded,
+                "windowed": windowed,
+                "served": served.session,
+            }
+            for name, session in sessions.items():
+                assert session.rows_processed == len(items), name
+                assert session.total().estimate == float(len(items)), name
+                assert len(set(session.top_k(10).groups) & true_top) >= 9, name
         finally:
             asyncio.run(registry.aclose_all())
 

@@ -2,16 +2,12 @@
 
 Covers the three sources behind :class:`SourceProtocol` — partitioned
 log, file tail, socket firehose — plus the :class:`SourceBatch` shape,
-the :class:`DriverCheckpoint` envelope, the soak workload generator and
-the throughput bench's ``--modes`` CLI validation.  The driver's
-kill/restore behaviour lives in
+the :class:`DriverCheckpoint` envelope and the soak workload generator.
+The driver's kill/restore behaviour lives in
 ``tests/integration/test_pipeline_resume.py``.
 """
 
 from __future__ import annotations
-
-import importlib.util
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -365,36 +361,3 @@ class TestBurstySoakStream:
             bursty_soak_stream(100, hours=0.0)
         with pytest.raises(InvalidParameterError):
             bursty_soak_stream(100, bursts_per_hour=-2.0)
-
-
-# ----------------------------------------------------------------------
-# bench_update_throughput --modes CLI validation
-# ----------------------------------------------------------------------
-REPO_ROOT = Path(__file__).resolve().parents[2]
-
-_spec = importlib.util.spec_from_file_location(
-    "bench_update_throughput",
-    REPO_ROOT / "benchmarks" / "bench_update_throughput.py",
-)
-bench_update_throughput = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(bench_update_throughput)
-
-
-class TestModesValidation:
-    def test_unknown_mode_fails_fast_listing_valid_modes(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            bench_update_throughput.main(["--modes", "scalr,batched"])
-        assert excinfo.value.code == 2  # argparse usage error, not a run
-        message = capsys.readouterr().err
-        assert "'scalr'" in message
-        for mode in bench_update_throughput.ALL_MODES + (
-            "cluster",
-            "rebalance",
-        ):
-            assert mode in message
-
-    def test_empty_selection_fails_fast(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            bench_update_throughput.main(["--modes", ","])
-        assert excinfo.value.code == 2
-        assert "selected nothing" in capsys.readouterr().err

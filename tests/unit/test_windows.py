@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import repro
+from repro.api.specs import iter_specs
 from repro.core.unbiased_space_saving import UnbiasedSpaceSaving
 from repro.errors import CapabilityError, InvalidParameterError
 from repro.io import load_bytes
@@ -651,6 +652,20 @@ class TestWindowedSessions:
             assert session.top_k(2).groups
             assert session.total().estimate > 0
             assert window in repr(session)
+
+    @pytest.mark.parametrize(
+        "window, in_scope", [("sliding:40s/10s", 4.0), ("tumbling:10s", 1.0)]
+    )
+    @pytest.mark.parametrize("spec", [spec.name for spec in iter_specs()])
+    def test_every_spec_is_a_pane_or_refused_at_build(self, spec, window, in_scope):
+        try:
+            session = repro.build(spec, size=32, window=window, seed=3)
+        except CapabilityError:
+            assert spec == "reservoir"  # no update_batch, no total_weight
+            return
+        session.update_batch([1, 2, 1, 3], timestamps=[1.0, 12.0, 25.0, 33.0])
+        assert isinstance(session.estimates(), dict)
+        assert session.total().estimate == pytest.approx(in_scope)
 
     def test_all_time_sessions_reject_timestamps(self):
         session = repro.build("unbiased_space_saving", size=8, seed=0)
