@@ -248,7 +248,8 @@ class StreamSession:
 
         When the estimator carries a subset-sum error model the variance of
         the singleton subset ``{item}`` is attached; otherwise the variance
-        is reported as zero.
+        is reported as zero.  A sharded estimator routes the ``frozenset``
+        predicate to the owning shard alone.
         """
         point = getattr(self._estimator, "estimate", None)
         if not callable(point):
@@ -256,9 +257,7 @@ class StreamSession:
                 f"{type(self._estimator).__name__} cannot answer point queries"
             )
         if SUBSET_SUM in self.capabilities:
-            return self._estimator.subset_sum_with_error(
-                lambda candidate: candidate == item
-            )
+            return self._estimator.subset_sum_with_error(frozenset((item,)).__contains__)
         return EstimateWithError(estimate=float(point(item)), variance=0.0)
 
     def estimates(self) -> Dict[Item, float]:

@@ -12,10 +12,8 @@ JSON-lines protocol a single server speaks, so an unmodified
   ``≈ K/N`` of ``K`` keys.
 * **Key-sharded sessions** — ``create`` with ``shards: k`` splits one
   logical session's label space across ``k`` members; ingest scatters
-  by label hash, and global reads gather with the paper's
-  disjoint-union math: subset-sum estimates *and variances* sum across
-  shards, frequent-item reads take the union of the shards' bins, and
-  totals are preserved exactly (:mod:`repro.cluster.shard_session`).
+  by label hash, and reads run the shard-read plans the in-process
+  ``ShardedSketch`` runs (:mod:`repro.cluster.shard_session`).
 * **Replica fail-over** — members checkpoint under a shared directory;
   when one dies, the router re-maps its hash range to ring successors
   and rehydrates its sessions there via the wire ``adopt`` op, resuming
@@ -45,8 +43,7 @@ from repro.cluster.membership import (
 from repro.cluster.router import ClusterRouter
 from repro.cluster.shard_session import SessionRoute
 from repro.core.base import ranked_pairs
-from repro.distributed.partition import scatter_batch
-from repro.distributed.sharded import merge_shard_states
+from repro.distributed.partition import merge_shard_states, scatter_batch
 
 __all__ = [
     "DEFAULT_REPLICAS",

@@ -11,10 +11,8 @@ members with the consistent-hash ring of
   ``(tenant, name)`` and every later op for that key forwards there;
 * ``create`` with ``shards: k`` key-shards the session — ``k`` internal
   sessions named ``{name}@shard{i}``, each ring-placed by its own key —
-  and the router scatters ingest by label hash and gathers reads with
-  the paper's disjoint-union math (summed estimates *and* variances for
-  subset sums, the union of the shards' bins for frequent-item reads),
-  with the functions ``ShardedSketch`` uses in process; see
+  and the router scatters ingest by label hash and runs each read from
+  the plan ``ShardedSketch`` runs in process; see
   :mod:`repro.cluster.shard_session`;
 * when a member stops answering, :meth:`fail_over` marks it down,
   re-maps its hash range to ring successors, and rehydrates its sessions
@@ -81,8 +79,7 @@ from repro.cluster.membership import (
     Member,
 )
 from repro.cluster.shard_session import SessionRoute
-from repro.distributed.partition import scatter_batch
-from repro.distributed.sharded import merge_shard_states, sum_estimates
+from repro.distributed.partition import merge_shard_states, read_plan, scatter_batch
 
 __all__ = ["ClusterRouter"]
 
@@ -664,18 +661,22 @@ class ClusterRouter(JsonLinesEndpoint):
             f"{route.wire_name(index)!r}: the route kept moving"
         ) from last_error
 
+    async def _forward_each(
+        self, route: SessionRoute, op: str, asks: Sequence[Tuple[int, Dict[str, Any]]]
+    ) -> List[Dict[str, Any]]:
+        """The op to each ``(shard, fields)`` of ``asks`` concurrently, in order."""
+        return list(
+            await asyncio.gather(
+                *(self._forward(route, index, op, **fields) for index, fields in asks)
+            )
+        )
+
     async def _forward_all(
         self, route: SessionRoute, op: str, **fields
     ) -> List[Dict[str, Any]]:
         """The op to every shard slot concurrently, in shard order."""
-        return list(
-            await asyncio.gather(
-                *(
-                    self._forward(route, index, op, **fields)
-                    for index, _, _ in route.slots()
-                )
-            )
-        )
+        asks = [(index, fields) for index, _, _ in route.slots()]
+        return await self._forward_each(route, op, asks)
 
     # ------------------------------------------------------------------
     # Ops: cluster administration
@@ -828,12 +829,10 @@ class ClusterRouter(JsonLinesEndpoint):
             for index, wire_name, _ in route.slots():
                 member = self._membership.route(route.ring_key(index))
                 shard_fields = dict(fields)
-                if base_seed is not None and shards is not None:
+                if base_seed is not None:
                     # Shard i streams with seed+i, exactly like the
                     # in-process sharded executor.
                     shard_fields["seed"] = int(base_seed) + index
-                elif base_seed is not None:
-                    shard_fields["seed"] = int(base_seed)
                 await self._conns[member.member_id].call(
                     "create",
                     session=wire_name,
@@ -949,55 +948,27 @@ class ClusterRouter(JsonLinesEndpoint):
         # whole; the wire values then travel to the shards unchanged.
         items, weights, timestamps = protocol.check_rows(request)
         block = request.get("block")
-        non_blocking = block is False
         if not route.sharded:
-            if non_blocking and route.migrating(0):
-                raise RouteMovedError(
-                    f"session {route.tenant!r}/{route.name!r} is migrating; "
-                    "nothing was enqueued — retry after the move"
-                )
-            return await self._forward(
-                route,
-                0,
-                "update_batch",
-                items=items,
-                weights=weights,
-                timestamps=timestamps,
-                block=block,
-            )
-        if weights is not None and len(weights):  # refused as the USS shards would
-            positive_weights(weights, lambda: InvalidParameterError(
-                "a sharded session takes finite positive weights; nothing was enqueued"))
-        slices = scatter_batch(
-            items, weights, timestamps, route.shards, seed=route.seed
-        )
-        sends = [
-            (index, shard_items, shard_weights, shard_ts)
-            for index, (shard_items, shard_weights, shard_ts) in enumerate(slices)
-            if len(shard_items)
-        ]
-        if non_blocking and any(route.migrating(index) for index, _, _, _ in sends):
+            sends = [(0, items, weights, timestamps)]
+        else:
+            if weights is not None and len(weights):  # refused as the USS shards would
+                positive_weights(weights, lambda: InvalidParameterError(
+                    "a sharded session takes finite positive weights; nothing was enqueued"))
+            slices = scatter_batch(items, weights, timestamps, route.shards, seed=route.seed)
+            sends = [(index, *columns) for index, columns in enumerate(slices) if len(columns[0])]
+        if block is False and any(route.migrating(index) for index, _, _, _ in sends):
             # Checked before anything is sent: the whole batch is
             # rejected atomically, so "no effect — always safe to retry"
             # holds even when only one target shard is moving.
             raise RouteMovedError(
-                f"session {route.tenant!r}/{route.name!r} has a shard "
-                "migrating; nothing was enqueued — retry after the move"
+                f"session {route.tenant!r}/{route.name!r} is migrating; "
+                "nothing was enqueued — retry after the move"
             )
-        results = await asyncio.gather(
-            *(
-                self._forward(
-                    route,
-                    index,
-                    "update_batch",
-                    items=shard_items,
-                    weights=shard_weights,
-                    timestamps=shard_ts,
-                    block=block,
-                )
-                for index, shard_items, shard_weights, shard_ts in sends
-            )
-        )
+        asks = [
+            (index, dict(items=part, weights=part_weights, timestamps=part_ts, block=block))
+            for index, part, part_weights, part_ts in sends
+        ]
+        results = await self._forward_each(route, "update_batch", asks)
         return {
             "enqueued": int(sum(r["enqueued"] for r in results)),
             "queue_depth": max(
@@ -1013,87 +984,51 @@ class ClusterRouter(JsonLinesEndpoint):
     # ------------------------------------------------------------------
     # Ops: reads (gather)
     # ------------------------------------------------------------------
-    async def _op_estimate(self, request: Dict[str, Any]) -> Dict[str, Any]:
+    async def _read(self, request: Dict[str, Any], read: str, **fields) -> Dict[str, Any]:
+        """A read: forwarded unchanged to a single session, and run from
+        its :func:`~repro.distributed.partition.read_plan` on a sharded one."""
         route = self._route(request)
-        item = protocol.decode_item(request.get("item"))
-        # Disjoint shards: the owning shard holds the label's entire
-        # weight, so one forward answers the point query exactly as a
-        # single sketch would.
-        return await self._forward(
-            route, route.shard_of(item), "estimate", item=request.get("item")
+        if not route.sharded:
+            return await self._forward(route, 0, read, **fields)
+        plan = read_plan(read, route.shards, seed=route.seed, **fields)
+        payloads = await self._forward_each(route, plan.op, plan.asks)
+        # perfbench's traced run wraps the gather at this module's names.
+        value = plan.combine(
+            [_shard_answer(plan.op, payload) for payload in payloads],
+            merge=merge_shard_states,
+            rank=ranked_pairs,
         )
+        if read == "estimates":
+            return {"pairs": protocol.encode_pairs(value[0]), "total": value[1]}
+        if read in ("top_k", "heavy_hitters"):
+            return {"pairs": protocol.encode_pairs(value)}
+        return protocol.encode_result(read, value)
+
+    async def _op_estimate(self, request: Dict[str, Any]) -> Dict[str, Any]:
+        return await self._read(request, "estimate", item=request.get("item"))
 
     async def _op_estimates(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        route = self._route(request)
-        results = await self._forward_all(route, "estimates")
-        pairs: List[List[Any]] = []
-        for result in results:
-            pairs.extend(result["pairs"])
-        return {
-            "pairs": pairs,
-            "total": float(sum(result["total"] for result in results)),
-        }
+        return await self._read(request, "estimates")
 
     async def _op_subset_sum(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        route = self._route(request)
-        candidates = request.get("candidates")
-        if not isinstance(candidates, list):
-            raise InvalidParameterError(
-                "the wire 'subset_sum' op takes a 'candidates' array (arbitrary "
-                "predicates cannot travel over JSON; use the in-process client "
-                "for callable predicates)"
-            )
-        if not route.sharded:
-            return await self._forward(route, 0, "subset_sum", candidates=candidates)
-        slices = scatter_batch(candidates, None, None, route.shards, seed=route.seed)
-        results = await asyncio.gather(
-            *(
-                self._forward(route, index, "subset_sum", candidates=shard_candidates)
-                for index, (shard_candidates, _, _) in enumerate(slices)
-                if shard_candidates
-            )
-        )
-        return _gathered_sum("subset_sum", results)
+        # Checked and decoded as a member checks and decodes them.
+        candidates = protocol.check_candidates(protocol.decode_fields(request).get("candidates"))
+        return await self._read(request, "subset_sum", candidates=candidates)
 
     async def _op_total(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        route = self._route(request)
-        return _gathered_sum("total", await self._forward_all(route, "total"))
+        return await self._read(request, "total")
 
     async def _op_heavy_hitters(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        route = self._route(request)
         phi = protocol.check_phi(request.get("phi"))
-        if not route.sharded:
-            return await self._forward(route, 0, "heavy_hitters", phi=phi)
-        # One ``estimates`` read per shard carries both the bins and the
-        # total, so each pair comes from a single member-side snapshot;
-        # the threshold needs the global total, so every bin is read.
-        bins, total = merge_shard_states(
-            [
-                (protocol.decode_pairs(result["pairs"]), float(result["total"]))
-                for result in await self._forward_all(route, "estimates")
-            ]
-        )
-        pairs = ranked_pairs(bins, threshold=phi * total)
-        return {"pairs": protocol.encode_pairs(pairs)}
+        return await self._read(request, "heavy_hitters", phi=phi)
 
     async def _op_top_k(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        route = self._route(request)
-        k = protocol.check_k(request.get("k"))
-        if not route.sharded:
-            return await self._forward(route, 0, "top_k", k=k)
-        # A member ranks its top k in ranked_pairs' order (count, then
-        # repr), and the shards are disjoint, so each shard's own top k
-        # holds its share of the global top k: the union of the shards'
-        # answers ranks to the full gather's answer.
-        results = await self._forward_all(route, "top_k", k=k)
-        bins, _ = merge_shard_states(
-            [(protocol.decode_pairs(result["pairs"]), 0.0) for result in results]
-        )
-        return {"pairs": protocol.encode_pairs(ranked_pairs(bins, k=k))}
+        return await self._read(request, "top_k", k=protocol.check_k(request.get("k")))
 
 
-def _gathered_sum(op: str, results: Sequence[Dict[str, Any]]) -> Dict[str, Any]:
-    """The wire answer of a scalar read over the shards' wire answers."""
-    return protocol.encode_result(
-        op, sum_estimates(protocol.decode_result(op, result) for result in results)
-    )
+def _shard_answer(op: str, payload: Dict[str, Any]) -> Any:
+    """A shard's wire answer in the form :meth:`ShardRead.combine` takes."""
+    value = protocol.decode_result(op, payload)
+    if op == "estimates":  # the member adds its total from the same snapshot
+        return value, float(payload["total"])
+    return (value.groups, 0.0) if op == "top_k" else value

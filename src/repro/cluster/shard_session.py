@@ -9,22 +9,13 @@ Labels are split by :func:`repro.distributed.partition.scatter_batch`,
 the scatter the sharded executor uses, making the per-shard sketches
 *disjoint*: every label's whole weight lives in exactly one shard.
 
-Disjointness is what makes the paper's math exact on gather, which the
-router runs with the combine functions of
-:class:`~repro.distributed.sharded.ShardedSketch`:
-
-* a subset-sum (or total) is the sum of per-shard subset-sums, and —
-  the shards being independent sketches — its variance is the **sum of
-  the per-shard variances** (the disaggregated-subset-sum error model
-  of §4 applied across shards;
-  :func:`~repro.distributed.sharded.sum_estimates`);
-* frequent-item reads gather the shards' bins and take their disjoint
-  union (:func:`~repro.distributed.sharded.merge_shard_states`), ranked
-  by :func:`~repro.core.base.ranked_pairs`.  That union is what the
-  paper's unbiased merge yields at union capacity, where its reduction
-  is the identity, so the read path adds no sampling noise;
-* totals are preserved exactly: Space Saving never loses mass, and the
-  disjoint union sums the per-shard totals.
+Disjointness makes the paper's math exact on gather (§4, §5.5).  The
+router runs each read from the plan
+:func:`repro.distributed.partition.read_plan` makes, the plan
+:class:`~repro.distributed.sharded.ShardedSketch` runs in process: a
+read that names labels asks only the shards that own them, every other
+read asks every shard, and subset sums with their variances add while
+frequent-item reads rank the union of the shards' bins.
 """
 
 from __future__ import annotations

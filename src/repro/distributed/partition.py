@@ -16,13 +16,16 @@ from __future__ import annotations
 import functools
 import hashlib
 import struct
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro._typing import Item
+from repro.core.base import ranked_pairs
+from repro.core.variance import EstimateWithError
 from repro.errors import InvalidParameterError
-from repro.serve.protocol import decode_items
+from repro.serve.protocol import decode_item, decode_items
 
 __all__ = [
     "hash_partition",
@@ -31,6 +34,10 @@ __all__ = [
     "scatter_batch",
     "stable_shard",
     "stable_hash_64",
+    "ShardRead",
+    "read_plan",
+    "merge_shard_states",
+    "sum_estimates",
 ]
 
 
@@ -217,6 +224,109 @@ def _scatter_array(
     return list(
         zip(np.split(items[order], cuts), split(weights), split(timestamps))
     )
+
+
+def merge_shard_states(
+    shard_states: Sequence[Tuple[Mapping[Item, float], float]],
+) -> Tuple[Dict[Item, float], float]:
+    """The disjoint union of per-shard ``(bins, total_weight)`` states.
+
+    Bins add up label by label and only positive counts are kept, as
+    floats; totals add.  Over disjoint shards this is exactly the
+    unbiased merge at union capacity, whose reduction is the identity,
+    so no sampling noise enters the read path.
+    """
+    if not shard_states:
+        raise InvalidParameterError("merge_shard_states needs at least one shard")
+    union: Dict[Item, float] = {}
+    total = 0.0
+    for bins, shard_total in shard_states:
+        for item, count in bins.items():
+            if count > 0:
+                union[item] = union.get(item, 0.0) + float(count)
+        total += float(shard_total)
+    return union, total
+
+
+def sum_estimates(shard_results: Iterable[EstimateWithError]) -> EstimateWithError:
+    """The shard-order sum of per-shard subset sums (or totals).
+
+    Over disjoint shards the estimates add, and — the shards being
+    independent sketches — so do their Eq. 5 variances.  Plain float
+    ``+`` in shard order, so every caller gets the same bits.
+    """
+    estimate = 0.0
+    variance = 0.0
+    for result in shard_results:
+        estimate += result.estimate
+        variance += result.variance
+    return EstimateWithError(estimate=estimate, variance=variance)
+
+
+@dataclass(frozen=True)
+class ShardRead:
+    """One read over disjoint shards: ask each ``(shard, fields)`` of
+    ``asks`` the per-shard ``op``, then :meth:`combine` the answers."""
+
+    op: str
+    asks: Tuple[Tuple[int, Dict[str, Any]], ...]
+    #: "sum" (:func:`sum_estimates`) or "union" (:func:`merge_shard_states`).
+    rule: str
+    #: Rank the union's top ``k``, or its bins at ``phi`` of its total.
+    k: Optional[int] = None
+    phi: Optional[float] = None
+
+    def combine(self, answers: Sequence[Any], *, merge=merge_shard_states, rank=ranked_pairs):
+        """The read's answer from the shards' answers in ask order, each an
+        :class:`EstimateWithError` to sum or a ``(bins, total)`` state to
+        unite.  An executor may pass ``merge`` and ``rank`` by its own names."""
+        if self.rule == "sum":
+            return sum_estimates(answers)
+        bins, total = merge(answers)
+        if self.k is not None:
+            return rank(bins, k=self.k)
+        if self.phi is not None:
+            return rank(bins, threshold=self.phi * total)
+        return bins, total
+
+
+def read_plan(read: str, num_shards: int, *, seed: int = 0, **fields: Any) -> ShardRead:
+    """The :class:`ShardRead` of ``read`` over ``num_shards`` disjoint shards.
+
+    A read that names labels asks only the shards that own one, since a
+    label's whole weight lives on its shard: ``estimate`` asks the owner
+    of ``item``, and ``subset_sum`` the owners of its ``candidates``, each
+    with its share of the list (placed by :func:`scatter_batch`, sent as
+    given), or of a ``set``'s or ``frozenset``'s ``__contains__``, each
+    with the whole predicate.  An empty list asks no shard: 0 ± 0.  Any
+    other callable names no labels, so it asks every shard, as ``total``,
+    ``estimates``, ``top_k`` (each shard's own top ``k``) and
+    ``heavy_hitters`` (each shard's ``estimates``) do.
+    """
+    if read == "estimate":
+        owner = _place([decode_item(fields["item"])], num_shards, seed)[0]
+        return ShardRead(read, ((owner, fields),), "sum")
+    if read == "subset_sum":
+        return ShardRead(read, _candidate_asks(fields["candidates"], num_shards, seed), "sum")
+    phi = fields.pop("phi", None)
+    every = tuple((index, fields) for index in range(num_shards))
+    if phi is not None:
+        return ShardRead("estimates", every, "union", phi=phi)
+    return ShardRead(read, every, "sum" if read == "total" else "union", k=fields.get("k"))
+
+
+def _candidate_asks(candidates: Any, num_shards: int, seed: int) -> Tuple[Tuple[int, Dict], ...]:
+    if not callable(candidates):
+        slices = scatter_batch(candidates, None, None, num_shards, seed=seed)
+        return tuple(
+            (index, {"candidates": part}) for index, (part, _, _) in enumerate(slices) if len(part)
+        )
+    labels = getattr(candidates, "__self__", None)
+    if type(labels) in (set, frozenset) and candidates.__name__ == "__contains__":
+        shards = sorted(set(_place(list(labels), num_shards, seed)))
+    else:
+        shards = range(num_shards)
+    return tuple((index, {"candidates": candidates}) for index in shards)
 
 
 def round_robin_partition(rows: Iterable[Item], num_partitions: int) -> List[List[Item]]:

@@ -11,14 +11,11 @@ turns that result into a usable scale-out API:
   (:func:`repro.core.batching.collapse_batch`), checked whole, and split
   by :func:`repro.distributed.partition.scatter_batch` without a second
   collapse.
-* **Point queries** need no merge at all: because shards hold disjoint item
-  sets, the owning shard's estimate *is* the ensemble estimate.
-* **Global queries** combine the shards' answers: subset sums, totals
-  and their variances add (:func:`sum_estimates`), and frequent-item
-  reads rank (:func:`repro.core.base.ranked_pairs`) the union of the
-  shards' bins (:func:`merge_shard_states`), for ``top_k`` only each
-  shard's own top ``k``.  The cluster router scatters and gathers its
-  key-sharded sessions with the same functions.
+* **Reads** run the plans of :func:`repro.distributed.partition.read_plan`
+  with direct calls to the shards, as the cluster router runs them over
+  the wire.  A point read, or a subset sum under a ``set``'s or
+  ``frozenset``'s ``__contains__``, asks only the shards that own its
+  labels; any other predicate cannot be routed, so every shard answers.
 * **Merging** down to a single capacity-``m`` sketch goes through the
   existing :mod:`repro.core.merge` machinery
   (:func:`~repro.core.merge.merge_many_unbiased`), preserving unbiasedness.
@@ -30,58 +27,31 @@ which move only sketch-sized summaries between processes.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from repro._typing import Item, ItemPredicate
-from repro.core.base import check_k, check_phi, ranked_pairs
+from repro.core.base import check_k, check_phi
 from repro.core.batching import collapse_batch, iter_weighted_rows, positive_weights
 from repro.core.merge import merge_many_unbiased
 from repro.core.unbiased_space_saving import UnbiasedSpaceSaving
 from repro.core.variance import EstimateWithError
-from repro.distributed.partition import scatter_batch, stable_shard
+from repro.distributed.partition import merge_shard_states, read_plan, scatter_batch
+from repro.distributed.partition import stable_shard, sum_estimates
 from repro.errors import InvalidParameterError
 from repro.io.serializable import SerializableSketch
 
 __all__ = ["ShardedSketch", "merge_shard_states", "sum_estimates"]
 
-
-def merge_shard_states(
-    shard_states: Sequence[Tuple[Mapping[Item, float], float]],
-) -> Tuple[Dict[Item, float], float]:
-    """The disjoint union of per-shard ``(bins, total_weight)`` states.
-
-    Bins add up label by label and only positive counts are kept, as
-    floats; totals add.  Over disjoint shards this is exactly the
-    unbiased merge at union capacity, whose reduction is the identity,
-    so no sampling noise enters the read path.
-    """
-    if not shard_states:
-        raise InvalidParameterError("merge_shard_states needs at least one shard")
-    union: Dict[Item, float] = {}
-    total = 0.0
-    for bins, shard_total in shard_states:
-        for item, count in bins.items():
-            if count > 0:
-                union[item] = union.get(item, 0.0) + float(count)
-        total += float(shard_total)
-    return union, total
-
-
-def sum_estimates(shard_results: Iterable[EstimateWithError]) -> EstimateWithError:
-    """The shard-order sum of per-shard subset sums (or totals).
-
-    Over disjoint shards the estimates add, and — the shards being
-    independent sketches — so do their Eq. 5 variances.  Plain float
-    ``+`` in shard order, so every caller gets the same bits.
-    """
-    estimate = 0.0
-    variance = 0.0
-    for result in shard_results:
-        estimate += result.estimate
-        variance += result.variance
-    return EstimateWithError(estimate=estimate, variance=variance)
+#: A read plan's per-shard ops as direct calls, answering as ``ShardRead.combine`` takes.
+_SHARD_CALLS: Dict[str, Callable[..., Any]] = {
+    "estimate": lambda shard, item: EstimateWithError(shard.estimate(item), 0.0),
+    "subset_sum": lambda shard, candidates: shard.subset_sum_with_error(candidates),
+    "total": lambda shard: EstimateWithError(shard.total_estimate(), 0.0),
+    "top_k": lambda shard, k: (dict(shard.top_k(k)), 0.0),
+    "estimates": lambda shard: (shard.estimates(), shard.total_estimate()),
+}
 
 
 class ShardedSketch(SerializableSketch):
@@ -227,16 +197,19 @@ class ShardedSketch(SerializableSketch):
     # ------------------------------------------------------------------
     # Queries over the disjoint union of the shards
     # ------------------------------------------------------------------
+    def _read(self, read: str, **fields: Any) -> Any:
+        """Run the read's plan with direct calls to the asked shards."""
+        plan = read_plan(read, self._num_shards, seed=self._hash_seed, **fields)
+        call = _SHARD_CALLS[plan.op]
+        return plan.combine([call(self._shards[index], **ask) for index, ask in plan.asks])
+
     def estimate(self, item: Item) -> float:
         """Point estimate from the owning shard (unbiased; 0 when absent)."""
-        return self.shard_for(item).estimate(item)
+        return self._read("estimate", item=item).estimate
 
     def estimates(self) -> Dict[Item, float]:
         """All retained items across shards (disjoint union)."""
-        bins, _ = merge_shard_states(
-            [(shard.estimates(), shard.total_weight) for shard in self._shards]
-        )
-        return bins
+        return self._read("estimates")[0]
 
     def __len__(self) -> int:
         return sum(len(shard) for shard in self._shards)
@@ -246,35 +219,26 @@ class ShardedSketch(SerializableSketch):
 
     def subset_sum(self, predicate: ItemPredicate) -> float:
         """Unbiased subset sum over the union of the shards' data."""
-        return float(sum(shard.subset_sum(predicate) for shard in self._shards))
+        return self.subset_sum_with_error(predicate).estimate
 
     def subset_sum_with_error(self, predicate: ItemPredicate) -> EstimateWithError:
         """Subset sum with variance: shard estimates are independent, so
-        their equation-5 variance estimates add."""
-        return sum_estimates(
-            shard.subset_sum_with_error(predicate) for shard in self._shards
-        )
+        their equation-5 variance estimates add over the asked shards."""
+        return self._read("subset_sum", candidates=predicate)
 
     def top_k(self, k: int) -> List[Tuple[Item, float]]:
         """The ``k`` largest estimated counts: the shards are disjoint, so
         the union of each shard's own top ``k`` holds them."""
-        k = check_k(k)
-        bins, _ = merge_shard_states(
-            [(dict(shard.top_k(k)), 0.0) for shard in self._shards]
-        )
-        return ranked_pairs(bins, k=k)
+        return self._read("top_k", k=check_k(k))
 
     def heavy_hitters(self, phi: float) -> Dict[Item, float]:
         """Items at or above relative frequency ``phi`` of the summed shard
         totals, the *global* weight."""
-        bins, total = merge_shard_states(
-            [(shard.estimates(), shard.total_estimate()) for shard in self._shards]
-        )
-        return dict(ranked_pairs(bins, threshold=check_phi(phi) * total))
+        return dict(self._read("heavy_hitters", phi=check_phi(phi)))
 
     def total_estimate(self) -> float:
         """Exact total ingested weight (each shard preserves its total)."""
-        return float(sum(shard.total_estimate() for shard in self._shards))
+        return self._read("total").estimate
 
     def merged(self, capacity=None, *, seed=None) -> UnbiasedSpaceSaving:
         """Merge all shards into one unbiased sketch via ``merge_many_unbiased``.

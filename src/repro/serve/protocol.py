@@ -53,7 +53,7 @@ import base64
 import binascii
 import json
 import math
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -76,6 +76,7 @@ __all__ = [
     "check_finite",
     "check_k",
     "check_phi",
+    "check_candidates",
     "column_layout",
     "attach_columns",
     "encode_pairs",
@@ -324,6 +325,18 @@ def check_phi(phi: Any) -> float:
     return 0.01 if phi is None else base.check_phi(phi)
 
 
+def check_candidates(candidates: Any) -> Any:
+    """A ``subset_sum``'s ``candidates``, refused alike on every front
+    unless they are a collection of labels: the TCP client runs it
+    before encoding, and :func:`decode_fields` before its label check."""
+    if isinstance(candidates, Iterable) and not isinstance(candidates, (str, bytes, Mapping)):
+        return candidates
+    raise InvalidParameterError(
+        "'candidates' must be an array of labels (a callable predicate works in "
+        f"process only), got {type(candidates).__name__}"
+    )
+
+
 def encode_pairs(groups: "Dict[Any, float] | Iterable[Tuple[Any, float]]") -> List[List[Any]]:
     """Encode a grouped result as an order-preserving pair list."""
     pairs = groups.items() if isinstance(groups, dict) else groups
@@ -333,15 +346,6 @@ def encode_pairs(groups: "Dict[Any, float] | Iterable[Tuple[Any, float]]") -> Li
 def decode_pairs(payload: Sequence[Sequence[Any]]) -> Dict[Any, float]:
     """Decode a pair list back to an insertion-ordered dict."""
     return {decode_item(item): float(value) for item, value in payload}
-
-
-def _encode_candidates(candidates: Any) -> List[Any]:
-    if callable(candidates):
-        raise InvalidParameterError(
-            "a callable predicate cannot travel over the wire; pass the "
-            "candidate labels (callables work with the in-process ServeClient)"
-        )
-    return encode_items(candidates)
 
 
 def _encode_frame(frame: bytes) -> str:
@@ -365,7 +369,7 @@ def _decode_frame(field: str, frame: Any) -> bytes:
 _ENCODERS: Dict[str, Callable[[Any], Any]] = {
     "item": lambda item: encode_item(item),
     "items": lambda items: encode_items(items),
-    "candidates": _encode_candidates,
+    "candidates": lambda candidates: encode_items(check_candidates(candidates)),
     "weights": lambda values: encode_reals(values),
     "timestamps": lambda values: encode_reals(values),
     "frame": _encode_frame,
@@ -378,7 +382,9 @@ _ENCODERS: Dict[str, Callable[[Any], Any]] = {
 _DECODERS: Dict[str, Callable[[str, Any], Any]] = {
     "item": lambda field, label: decode_items(_label_column(field, [label]))[0],
     "items": lambda field, labels: decode_items(_label_column(field, labels)),
-    "candidates": lambda field, labels: decode_items(_label_column(field, labels)),
+    "candidates": lambda field, labels: decode_items(
+        _label_column(field, check_candidates(labels))
+    ),
     "weight": lambda field, value: _real_column(field, [value])[0],
     "timestamp": lambda field, value: _real_column(field, [value])[0],
     "weights": _real_column,

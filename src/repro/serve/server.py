@@ -431,12 +431,8 @@ class SketchServer(JsonLinesEndpoint):
         a ``candidates`` collection, matched as a set."""
         served = self._served(fields)
         candidates = fields.get("candidates")
-        if candidates is None:
-            raise InvalidParameterError(
-                "'subset_sum' needs 'candidates': the labels to sum over"
-            )
         if not callable(candidates):
-            candidates = set(candidates).__contains__
+            candidates = set(protocol.check_candidates(candidates)).__contains__
         return served.subset_sum(candidates)
 
     async def _op_total(self, fields: Dict[str, Any]) -> EstimateWithError:

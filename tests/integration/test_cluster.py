@@ -6,9 +6,11 @@ and drives them with an **unmodified**
 :class:`~repro.serve.client.TCPServeClient` — the router speaks the same
 JSON-lines protocol a single server does.  Covered: key-sharded
 scatter-gather reads against an inline reference sketch (exact totals,
-additive-variance agreement on subset sums), checkpoint-based fail-over
-resuming **bit-identically** to an uninterrupted run, the background
-health loop, and cluster administration (cluster_info, routing errors).
+additive-variance agreement on subset sums, one typed refusal of bad
+``subset_sum`` candidates on the router and a member alike),
+checkpoint-based fail-over resuming **bit-identically** to an
+uninterrupted run, the background health loop, and cluster
+administration (cluster_info, routing errors).
 """
 
 from __future__ import annotations
@@ -246,6 +248,51 @@ class TestShardedScatterGather:
                 await cluster.close()
 
         assert run(scenario()) == local.estimates()
+
+    @pytest.mark.parametrize(
+        "candidates, error",
+        [
+            ("abc", InvalidParameterError),
+            (None, InvalidParameterError),
+            ([{"a": 1}], SerializationError),
+        ],
+        ids=["string", "null", "object-label"],
+    )
+    def test_bad_candidates_get_one_typed_error_on_both_fronts(
+        self, tmp_path, candidates, error
+    ):
+        """The router and a bare member run one ``candidates`` check."""
+
+        async def scenario():
+            cluster = await _cluster(tmp_path, n=2)
+            member = await TCPServeClient.connect(*cluster.servers["m0"].address)
+            try:
+                await cluster.client.create("sharded", SPEC, size=8, seed=1, shards=2)
+                await cluster.client.create("single", SPEC, size=8, seed=1)
+                await member.create("bare", SPEC, size=8, seed=1)
+                refusals = []
+                for client, name in (
+                    (cluster.client, "sharded"),
+                    (cluster.client, "single"),
+                    (member, "bare"),
+                ):
+                    await client.update_batch(name, ["a", "b", "a"])
+                    await client.flush(name)
+                    with pytest.raises(error) as caught:
+                        await client.request(
+                            "subset_sum", session=name, candidates=candidates
+                        )
+                    refusals.append((type(caught.value), str(caught.value)))
+                    # The connection still serves, and nothing changed.
+                    assert (await client.subset_sum(name, ["a"])).estimate == 2.0
+                return refusals
+            finally:
+                await member.close()
+                await cluster.close()
+
+        refusals = run(scenario())
+        assert len(set(refusals)) == 1, refusals
+        assert refusals[0][0] is error
 
 
 # ----------------------------------------------------------------------

@@ -3,13 +3,21 @@
 :class:`~repro.distributed.sharded.ShardedSketch` and a key-sharded
 session behind a :class:`~repro.cluster.ClusterRouter` split labels with
 the same scatter (:func:`repro.distributed.partition.scatter_batch`) and
-combine shard answers with the same functions.  With the same capacity,
+run every read from the same plan
+(:func:`repro.distributed.partition.read_plan`).  With the same capacity,
 shard count and seed, fed the same batches (each applied whole before the
 next, as a flush after every batch guarantees), every read matches
 exactly: point and bulk estimates, subset sums with their variance,
 totals, ``top_k`` and ``heavy_hitters``.  Three label kinds drive the
 three scatter paths: str labels, tuple labels (JSON arrays on the wire)
 and int64 arrays (column frames, split by the array scatter).
+
+Three paths answer: a sharded :class:`~repro.api.StreamSession`, a
+served ``backend="sharded"`` session, and the router.  A read that names
+labels asks only the shards that own them, on every path, so point reads
+and subset sums carry only the owning shards' variance: a candidate list
+held by one shard, an empty list (0 ± 0) and each point read, which
+equals the subset sum over its one label.
 """
 
 from __future__ import annotations
@@ -19,9 +27,11 @@ import asyncio
 import numpy as np
 import pytest
 
+import repro
 from repro.cluster import ClusterRouter
+from repro.core.variance import EstimateWithError
 from repro.distributed.sharded import ShardedSketch
-from repro.serve import SketchServer, TCPServeClient
+from repro.serve import ServeClient, SketchServer, TCPServeClient
 
 SPEC = "unbiased_space_saving"
 CAPACITY = 16
@@ -56,7 +66,58 @@ def _candidates(kind):
     return labels.tolist() if kind == "int64" else labels
 
 
-async def _cluster_reads(batches, candidates, probes):
+def _one_shard(sharded, candidates):
+    """The candidates that the first candidate's shard owns."""
+    owner = sharded.shard_index(candidates[0])
+    return [label for label in candidates if sharded.shard_index(label) == owner]
+
+
+async def _reads(client, name, lists, probes):
+    """Every read of one path, as normalized values."""
+    return {
+        "estimate": [await client.estimate(name, p) for p in probes],
+        "singleton": [await client.subset_sum(name, [p]) for p in probes],
+        "estimates": await client.estimates(name),
+        "subset_sum": [await client.subset_sum(name, labels) for labels in lists],
+        "total": await client.total(name),
+        "top_k": list((await client.top_k(name, 10)).groups.items()),
+        "heavy_hitters": list((await client.heavy_hitters(name, 0.02)).groups.items()),
+    }
+
+
+def _session_reads(batches, lists, probes):
+    session = repro.build(
+        SPEC, size=CAPACITY, backend="sharded", num_shards=SHARDS, seed=SEED
+    )
+    for items, weights in batches:
+        session.update_batch(items, weights)
+    return {
+        "estimate": [session.estimate(p) for p in probes],
+        "singleton": [session.subset_sum(frozenset((p,)).__contains__) for p in probes],
+        "estimates": session.estimates(),
+        "subset_sum": [session.subset_sum(set(labels).__contains__) for labels in lists],
+        "total": session.total(),
+        "top_k": list(session.top_k(10).groups.items()),
+        "heavy_hitters": list(session.heavy_hitters(0.02).groups.items()),
+    }
+
+
+async def _served_reads(batches, lists, probes):
+    server = SketchServer()
+    client = ServeClient(server)
+    try:
+        await client.create(
+            "s", SPEC, size=CAPACITY, seed=SEED, backend="sharded", num_shards=SHARDS
+        )
+        for items, weights in batches:
+            await client.update_batch("s", items, weights)
+            await client.flush("s")
+        return await _reads(client, "s", lists, probes)
+    finally:
+        await server.stop()
+
+
+async def _cluster_reads(batches, lists, probes):
     servers = [SketchServer() for _ in range(2)]
     members = []
     for index, server in enumerate(servers):
@@ -70,16 +131,7 @@ async def _cluster_reads(batches, candidates, probes):
         for items, weights in batches:
             await client.update_batch("s", items, weights)
             await client.flush("s")
-        return {
-            "estimate": [(await client.estimate("s", p)).estimate for p in probes],
-            "estimates": await client.estimates("s"),
-            "subset_sum": await client.subset_sum("s", candidates),
-            "total": await client.total("s"),
-            "top_k": list((await client.top_k("s", 10)).groups.items()),
-            "heavy_hitters": list(
-                (await client.heavy_hitters("s", 0.02)).groups.items()
-            ),
-        }
+        return await _reads(client, "s", lists, probes)
     finally:
         await client.close()
         await router.stop()
@@ -97,16 +149,41 @@ def test_sharded_sketch_and_cluster_session_answer_alike(kind):
     estimates = sharded.estimates()
     # Retained labels and labels the shards evicted or never saw.
     probes = list(estimates)[:5] + list(candidates)[-5:]
+    one_shard = _one_shard(sharded, candidates)
+    lists = [candidates, one_shard, []]
 
-    got = asyncio.run(_cluster_reads(batches, candidates, probes))
+    got = asyncio.run(_cluster_reads(batches, lists, probes))
 
-    assert got["estimate"] == [sharded.estimate(label) for label in probes]
+    assert [e.estimate for e in got["estimate"]] == [
+        sharded.estimate(label) for label in probes
+    ]
     assert got["estimates"] == estimates
     expected = sharded.subset_sum_with_error(set(candidates).__contains__)
     assert expected.variance > 0  # the shards really did evict
-    assert got["subset_sum"] == expected
+    assert got["subset_sum"][0] == expected
     assert got["total"].estimate == sharded.total_estimate()
     assert got["total"].variance == 0.0
     assert got["top_k"] == sharded.top_k(10)
     assert got["heavy_hitters"]
     assert got["heavy_hitters"] == list(sharded.heavy_hitters(0.02).items())
+
+    # The owner rule: a one-shard list carries that shard's variance only,
+    # and an empty list asks no shard.
+    owner = sharded.shards[sharded.shard_index(one_shard[0])]
+    assert 1 < len(one_shard) < len(candidates)
+    assert got["subset_sum"][1] == owner.subset_sum_with_error(set(one_shard).__contains__)
+    assert got["subset_sum"][2] == EstimateWithError(estimate=0.0, variance=0.0)
+    for label, point in zip(probes, got["estimate"]):
+        shard = sharded.shard_for(label)
+        assert point == shard.subset_sum_with_error(frozenset((label,)).__contains__)
+
+    # Every path answers every read alike, variances included, and a
+    # point read is the subset sum over its one label.
+    paths = {
+        "session": _session_reads(batches, lists, probes),
+        "served": asyncio.run(_served_reads(batches, lists, probes)),
+        "cluster": got,
+    }
+    for path, reads in paths.items():
+        assert reads["singleton"] == reads["estimate"], path
+        assert reads == got, path

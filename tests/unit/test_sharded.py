@@ -3,11 +3,13 @@
 Pinned here: merging goes through the core unbiased merge; subset queries
 add per-shard estimates and variances; scalar rows and batches route
 every label to the same shard; global reads are the disjoint union of the
-shards, ranked like the cluster gather; each ``merged()`` is a fresh
+shards, ranked like the cluster gather; a read plan asks only the owners
+of the labels a read names, and every shard otherwise; each ``merged()`` is a fresh
 merge the caller owns; frames and checkpoints round-trip and resume bit-identically.
 The statistical check asserts the paper's guarantees for the ensemble
 over many seeds: unbiased subset sums, exact totals and a calibrated
-variance estimate.
+variance estimate, also for a label set routed to the one shard that
+owns it.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import pytest
 
 from repro.core.merge import merge_many_unbiased
 from repro.core.base import ranked_pairs
+from repro.distributed.partition import read_plan, stable_shard
 from repro.distributed.sharded import ShardedSketch, merge_shard_states
 from repro.errors import InvalidParameterError, UnsupportedUpdateError
 from repro.io import load_bytes
@@ -81,6 +84,32 @@ class TestQueries:
             assert sharded.estimate(item) == count
             assert item in sharded
         assert len(sharded) == len(bins)
+
+    def test_plans_ask_the_owners_of_named_labels_and_every_shard_otherwise(self):
+        labels = ["a", "b", "c"]
+        owners = sorted({stable_shard(label, NUM_SHARDS, seed=SEED) for label in labels})
+        assert 0 < len(owners) < NUM_SHARDS
+
+        def asked(read, **fields):
+            plan = read_plan(read, NUM_SHARDS, seed=SEED, **fields)
+            return [shard for shard, _ in plan.asks]
+
+        assert asked("subset_sum", candidates=labels) == owners
+        assert asked("subset_sum", candidates=set(labels).__contains__) == owners
+        assert asked("subset_sum", candidates=frozenset(labels).__contains__) == owners
+        assert asked("subset_sum", candidates=[]) == []
+        assert asked("estimate", item="a") == [stable_shard("a", NUM_SHARDS, seed=SEED)]
+        # A predicate that is not a plain set's membership test names no labels.
+        every = list(range(NUM_SHARDS))
+        assert asked("subset_sum", candidates=lambda label: label in labels) == every
+        assert asked("subset_sum", candidates=frozenset(labels).isdisjoint) == every
+        subclass = type("Labels", (frozenset,), {})
+        assert asked("subset_sum", candidates=subclass(labels).__contains__) == every
+        for read, fields in (("total", {}), ("estimates", {}), ("top_k", {"k": 3})):
+            assert asked(read, **fields) == every
+        plan = read_plan("heavy_hitters", NUM_SHARDS, seed=SEED, phi=0.1)
+        assert (plan.op, plan.rule, plan.phi) == ("estimates", "union", 0.1)
+        assert [fields for _, fields in plan.asks] == [{}] * NUM_SHARDS
 
     def test_invalid_configuration(self):
         with pytest.raises(InvalidParameterError):
@@ -192,6 +221,9 @@ def test_subset_sums_are_unbiased_with_exact_totals_and_calibrated_variance():
     truth = sum(counts[label] for label in subset)
 
     estimates, variances = [], []
+    # A routed label set on one shard: its owner alone answers, with its
+    # variance alone.  The subset (and its truth) moves with the routing.
+    routed_errors, routed_variances = [], []
     for seed in range(200):
         sharded = ShardedSketch(16, 4, seed=seed)
         for start in range(0, len(rows), 100):
@@ -200,6 +232,13 @@ def test_subset_sums_are_unbiased_with_exact_totals_and_calibrated_variance():
         result = sharded.subset_sum_with_error(lambda label: label in subset)
         estimates.append(result.estimate)
         variances.append(result.variance)
+        one_shard = frozenset(
+            label for label in subset if sharded.shard_index(label) == 0
+        )
+        routed = sharded.subset_sum_with_error(one_shard.__contains__)
+        assert routed == sharded.shards[0].subset_sum_with_error(one_shard.__contains__)
+        routed_errors.append(routed.estimate - sum(counts[label] for label in one_shard))
+        routed_variances.append(routed.variance)
 
     estimates = np.asarray(estimates)
     standard_error = estimates.std(ddof=1) / np.sqrt(len(estimates))
@@ -213,3 +252,15 @@ def test_subset_sums_are_unbiased_with_exact_totals_and_calibrated_variance():
     # fails if one shard's variance were reported instead of the sum.
     ratio = np.mean(variances) / estimates.var(ddof=1)
     assert 0.8 <= ratio <= 3.0
+
+    # The routed read reports one shard's variance where a predicate read
+    # reports four, and it must stay calibrated: unbiased, in the same
+    # variance band, and covering with its 95% normal intervals.
+    routed_errors = np.asarray(routed_errors)
+    routed_variances = np.asarray(routed_variances)
+    routed_error = routed_errors.std(ddof=1) / np.sqrt(len(routed_errors))
+    assert abs(routed_errors.mean()) <= 4 * routed_error
+    routed_ratio = routed_variances.mean() / routed_errors.var(ddof=1)
+    assert 0.8 <= routed_ratio <= 3.0
+    covered = np.abs(routed_errors) <= 1.959964 * np.sqrt(routed_variances)
+    assert covered.mean() >= 0.93
