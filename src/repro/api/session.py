@@ -248,8 +248,7 @@ class StreamSession:
 
         When the estimator carries a subset-sum error model the variance of
         the singleton subset ``{item}`` is attached; otherwise the variance
-        is reported as zero.  A sharded estimator routes the ``frozenset``
-        predicate to the owning shard alone.
+        is reported as zero.
         """
         point = getattr(self._estimator, "estimate", None)
         if not callable(point):
@@ -257,7 +256,11 @@ class StreamSession:
                 f"{type(self._estimator).__name__} cannot answer point queries"
             )
         if SUBSET_SUM in self.capabilities:
-            return self._estimator.subset_sum_with_error(frozenset((item,)).__contains__)
+            try:
+                matches = frozenset((item,)).__contains__
+            except TypeError:  # unhashable: no bin can equal it
+                matches = lambda candidate: candidate == item  # noqa: E731
+            return self._estimator.subset_sum_with_error(matches)
         return EstimateWithError(estimate=float(point(item)), variance=0.0)
 
     def estimates(self) -> Dict[Item, float]:

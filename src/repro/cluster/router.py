@@ -1027,8 +1027,7 @@ class ClusterRouter(JsonLinesEndpoint):
 
 
 def _shard_answer(op: str, payload: Dict[str, Any]) -> Any:
-    """A shard's wire answer in the form :meth:`ShardRead.combine` takes."""
+    """A shard's decoded wire answer, with the total a member sends with
+    its ``estimates`` from the same snapshot."""
     value = protocol.decode_result(op, payload)
-    if op == "estimates":  # the member adds its total from the same snapshot
-        return value, float(payload["total"])
-    return (value.groups, 0.0) if op == "top_k" else value
+    return (value, float(payload["total"])) if op == "estimates" else value

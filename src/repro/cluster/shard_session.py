@@ -13,8 +13,9 @@ Disjointness makes the paper's math exact on gather (§4, §5.5).  The
 router runs each read from the plan
 :func:`repro.distributed.partition.read_plan` makes, the plan
 :class:`~repro.distributed.sharded.ShardedSketch` runs in process: a
-read that names labels asks only the shards that own them, every other
-read asks every shard, and subset sums with their variances add while
+read that names labels asks only the shards that own them (in process,
+also a shard holding an equal label placed apart), every other read
+asks every shard, and subset sums with their variances add while
 frequent-item reads rank the union of the shards' bins.
 """
 

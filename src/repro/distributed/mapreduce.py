@@ -25,6 +25,7 @@ from repro._typing import Item, ItemPredicate, Seed
 from repro.core.merge import merge_many_unbiased, merge_unbiased
 from repro.core.unbiased_space_saving import UnbiasedSpaceSaving
 from repro.core.variance import EstimateWithError
+from repro.distributed.partition import round_robin_partition
 from repro.errors import InvalidParameterError
 from repro.streams.generators import iterate_rows
 
@@ -136,24 +137,12 @@ class DistributedSubsetSum:
 
     def run(self, rows: Iterable[Item]) -> UnbiasedSpaceSaving:
         """Execute the full pipeline over a row stream and return the merged sketch."""
-        partitions: List[List[Item]] = [[] for _ in range(self._num_partitions)]
-        for index, row in enumerate(iterate_rows(rows)):
-            partitions[index % self._num_partitions].append(row)
+        partitions = round_robin_partition(iterate_rows(rows), self._num_partitions)
         mapper_sketches = sketch_partitions(partitions, self._capacity, seed=self._seed)
-        if self._merge_strategy == "flat":
-            self._merged = reduce_sketches(
-                mapper_sketches,
-                capacity=self._capacity,
-                method=self._merge_method,
-                seed=self._seed,
-            )
-        else:
-            self._merged = tree_merge(
-                mapper_sketches,
-                capacity=self._capacity,
-                method=self._merge_method,
-                seed=self._seed,
-            )
+        merge = reduce_sketches if self._merge_strategy == "flat" else tree_merge
+        self._merged = merge(
+            mapper_sketches, capacity=self._capacity, method=self._merge_method, seed=self._seed
+        )
         return self._merged
 
     @property

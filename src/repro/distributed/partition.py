@@ -51,14 +51,10 @@ def _keyed_hasher(seed: int):
     return hashlib.blake2b(digest_size=8, key=seed.to_bytes(8, "little", signed=False))
 
 
-def _stable_hash(item: Item, seed: int) -> int:
-    hasher = _keyed_hasher(seed).copy()
-    hasher.update(repr(item).encode("utf-8"))
-    return struct.unpack("<Q", hasher.digest())[0]
-
-
 def stable_hash_64(item: Item, *, seed: int = 0) -> int:
-    """The package's stable 64-bit label hash (keyed blake2b of ``repr``).
+    """The package's stable 64-bit label hash (keyed blake2b of ``repr``;
+    a numpy scalar as the Python scalar a sketch stores, as numpy 2's
+    ``repr`` differs).
 
     This is the hash underneath :func:`stable_shard` and
     :func:`scatter_batch`, exposed directly for consumers that
@@ -68,7 +64,9 @@ def stable_hash_64(item: Item, *, seed: int = 0) -> int:
     keys with it.  Deterministic across processes, machines and Python
     versions (no ``PYTHONHASHSEED`` dependence).
     """
-    return _stable_hash(item, seed)
+    hasher = _keyed_hasher(seed).copy()
+    hasher.update(repr(item.item() if isinstance(item, np.generic) else item).encode("utf-8"))
+    return struct.unpack("<Q", hasher.digest())[0]
 
 
 def hash_partition(
@@ -83,7 +81,7 @@ def hash_partition(
         raise InvalidParameterError("num_partitions must be positive")
     partitions: List[List[Item]] = [[] for _ in range(num_partitions)]
     for row in rows:
-        partitions[_stable_hash(row, seed) % num_partitions].append(row)
+        partitions[stable_hash_64(row, seed=seed) % num_partitions].append(row)
     return partitions
 
 
@@ -95,7 +93,7 @@ def stable_shard(item: Item, num_partitions: int, *, seed: int = 0) -> int:
     """
     if num_partitions < 1:
         raise InvalidParameterError("num_partitions must be positive")
-    return _stable_hash(item, seed) % num_partitions
+    return stable_hash_64(item, seed=seed) % num_partitions
 
 
 #: At most this many label placements are memoized, over every layout.
@@ -114,8 +112,8 @@ def _place(
 ) -> List[int]:
     """The shard of each decoded label, hashing only the memo's misses.
 
-    The memo keys a label by ``repr(label)`` — the string
-    :func:`stable_shard` digests — so labels equal as dict keys but with
+    The memo keys a label by ``repr(label)``, which fixes the string
+    :func:`stable_shard` digests, so labels equal as dict keys but with
     distinct reprs (``1``, ``1.0``, ``True``; ``0.0`` and ``-0.0``) keep
     their distinct placements.  ``keys`` may instead be the labels
     themselves when every one is a plain ``int``, which never equals a
@@ -270,18 +268,23 @@ class ShardRead:
 
     op: str
     asks: Tuple[Tuple[int, Dict[str, Any]], ...]
-    #: "sum" (:func:`sum_estimates`) or "union" (:func:`merge_shard_states`).
-    rule: str
     #: Rank the union's top ``k``, or its bins at ``phi`` of its total.
     k: Optional[int] = None
     phi: Optional[float] = None
 
     def combine(self, answers: Sequence[Any], *, merge=merge_shard_states, rank=ranked_pairs):
-        """The read's answer from the shards' answers in ask order, each an
-        :class:`EstimateWithError` to sum or a ``(bins, total)`` state to
-        unite.  An executor may pass ``merge`` and ``rank`` by its own names."""
-        if self.rule == "sum":
-            return sum_estimates(answers)
+        """The read's answer from the shards' answers in ask order: point
+        reads, subset sums and totals (each an :class:`EstimateWithError`
+        or an exact float) add up; ``top_k`` pairs (or ``groups``) and
+        ``estimates`` ``(bins, total)`` states unite.  An executor may
+        pass ``merge`` and ``rank`` by its own names."""
+        if self.op in ("estimate", "subset_sum", "total"):
+            return sum_estimates(
+                answer if isinstance(answer, EstimateWithError) else EstimateWithError(answer, 0.0)
+                for answer in answers
+            )
+        if self.op == "top_k":
+            answers = [(dict(getattr(answer, "groups", answer)), 0.0) for answer in answers]
         bins, total = merge(answers)
         if self.k is not None:
             return rank(bins, k=self.k)
@@ -290,7 +293,7 @@ class ShardRead:
         return bins, total
 
 
-def read_plan(read: str, num_shards: int, *, seed: int = 0, **fields: Any) -> ShardRead:
+def read_plan(read: str, num_shards: int, *, seed: int = 0, holds=None, **fields: Any) -> ShardRead:
     """The :class:`ShardRead` of ``read`` over ``num_shards`` disjoint shards.
 
     A read that names labels asks only the shards that own one, since a
@@ -302,31 +305,32 @@ def read_plan(read: str, num_shards: int, *, seed: int = 0, **fields: Any) -> Sh
     other callable names no labels, so it asks every shard, as ``total``,
     ``estimates``, ``top_k`` (each shard's own top ``k``) and
     ``heavy_hitters`` (each shard's ``estimates``) do.
+
+    Labels equal as keys but placed apart (``1``, ``1.0``, ``True``) can
+    hold bins on a shard that owns none of the named labels.  An executor
+    that sees its shards passes ``holds(shard, labels)``, true when the
+    shard holds a bin equal to one of ``labels``; a point read or a set
+    predicate then asks each such shard too.
     """
-    if read == "estimate":
-        owner = _place([decode_item(fields["item"])], num_shards, seed)[0]
-        return ShardRead(read, ((owner, fields),), "sum")
-    if read == "subset_sum":
-        return ShardRead(read, _candidate_asks(fields["candidates"], num_shards, seed), "sum")
-    phi = fields.pop("phi", None)
-    every = tuple((index, fields) for index in range(num_shards))
-    if phi is not None:
-        return ShardRead("estimates", every, "union", phi=phi)
-    return ShardRead(read, every, "sum" if read == "total" else "union", k=fields.get("k"))
-
-
-def _candidate_asks(candidates: Any, num_shards: int, seed: int) -> Tuple[Tuple[int, Dict], ...]:
-    if not callable(candidates):
+    candidates = fields.get("candidates")
+    if read == "subset_sum" and not callable(candidates):
         slices = scatter_batch(candidates, None, None, num_shards, seed=seed)
-        return tuple(
-            (index, {"candidates": part}) for index, (part, _, _) in enumerate(slices) if len(part)
-        )
+        asks = tuple((i, {"candidates": part}) for i, (part, _, _) in enumerate(slices) if len(part))
+        return ShardRead(read, asks)
     labels = getattr(candidates, "__self__", None)
-    if type(labels) in (set, frozenset) and candidates.__name__ == "__contains__":
-        shards = sorted(set(_place(list(labels), num_shards, seed)))
-    else:
-        shards = range(num_shards)
-    return tuple((index, {"candidates": candidates}) for index in shards)
+    if read == "estimate":
+        labels = (decode_item(fields["item"]),)
+    elif type(labels) not in (set, frozenset) or candidates.__name__ != "__contains__":
+        labels = None
+    shards = range(num_shards)
+    if labels is not None:
+        owners = set(_place(list(labels), num_shards, seed))
+        shards = [i for i in shards if i in owners or (holds and holds(i, labels))]
+    phi = fields.pop("phi", None)
+    asks = tuple((index, fields) for index in shards)
+    if phi is not None:
+        return ShardRead("estimates", asks, phi=phi)
+    return ShardRead(read, asks, k=fields.get("k"))
 
 
 def round_robin_partition(rows: Iterable[Item], num_partitions: int) -> List[List[Item]]:

@@ -15,7 +15,9 @@ turns that result into a usable scale-out API:
   with direct calls to the shards, as the cluster router runs them over
   the wire.  A point read, or a subset sum under a ``set``'s or
   ``frozenset``'s ``__contains__``, asks only the shards that own its
-  labels; any other predicate cannot be routed, so every shard answers.
+  labels, and any other shard that holds a bin equal to one of them
+  (``1.0`` for ``1``: equal keys placed apart); any other predicate
+  cannot be routed, so every shard answers.
 * **Merging** down to a single capacity-``m`` sketch goes through the
   existing :mod:`repro.core.merge` machinery
   (:func:`~repro.core.merge.merge_many_unbiased`), preserving unbiasedness.
@@ -44,12 +46,12 @@ from repro.io.serializable import SerializableSketch
 
 __all__ = ["ShardedSketch", "merge_shard_states", "sum_estimates"]
 
-#: A read plan's per-shard ops as direct calls, answering as ``ShardRead.combine`` takes.
+#: A read plan's per-shard ops as direct calls.
 _SHARD_CALLS: Dict[str, Callable[..., Any]] = {
-    "estimate": lambda shard, item: EstimateWithError(shard.estimate(item), 0.0),
+    "estimate": lambda shard, item: shard.estimate(item),
     "subset_sum": lambda shard, candidates: shard.subset_sum_with_error(candidates),
-    "total": lambda shard: EstimateWithError(shard.total_estimate(), 0.0),
-    "top_k": lambda shard, k: (dict(shard.top_k(k)), 0.0),
+    "total": lambda shard: shard.total_estimate(),
+    "top_k": lambda shard, k: shard.top_k(k),
     "estimates": lambda shard: (shard.estimates(), shard.total_estimate()),
 }
 
@@ -199,12 +201,15 @@ class ShardedSketch(SerializableSketch):
     # ------------------------------------------------------------------
     def _read(self, read: str, **fields: Any) -> Any:
         """Run the read's plan with direct calls to the asked shards."""
-        plan = read_plan(read, self._num_shards, seed=self._hash_seed, **fields)
+        shards = self._shards
+        holds = lambda index, labels: any(map(shards[index].estimate, labels))  # noqa: E731
+        plan = read_plan(read, self._num_shards, seed=self._hash_seed, holds=holds, **fields)
         call = _SHARD_CALLS[plan.op]
-        return plan.combine([call(self._shards[index], **ask) for index, ask in plan.asks])
+        return plan.combine([call(shards[index], **ask) for index, ask in plan.asks])
 
     def estimate(self, item: Item) -> float:
-        """Point estimate from the owning shard (unbiased; 0 when absent)."""
+        """Point estimate from the owning shard, and from any shard holding
+        an equal label placed apart (unbiased; 0 when absent)."""
         return self._read("estimate", item=item).estimate
 
     def estimates(self) -> Dict[Item, float]:
@@ -215,7 +220,7 @@ class ShardedSketch(SerializableSketch):
         return sum(len(shard) for shard in self._shards)
 
     def __contains__(self, item: Item) -> bool:
-        return item in self.shard_for(item)
+        return self.estimate(item) > 0
 
     def subset_sum(self, predicate: ItemPredicate) -> float:
         """Unbiased subset sum over the union of the shards' data."""

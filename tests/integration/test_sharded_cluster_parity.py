@@ -17,7 +17,8 @@ served ``backend="sharded"`` session, and the router.  A read that names
 labels asks only the shards that own them, on every path, so point reads
 and subset sums carry only the owning shards' variance: a candidate list
 held by one shard, an empty list (0 ± 0) and each point read, which
-equals the subset sum over its one label.
+equals the subset sum over its one label.  numpy scalar probes and a
+numpy candidate array read as the Python labels they equal.
 """
 
 from __future__ import annotations
@@ -151,6 +152,11 @@ def test_sharded_sketch_and_cluster_session_answer_alike(kind):
     probes = list(estimates)[:5] + list(candidates)[-5:]
     one_shard = _one_shard(sharded, candidates)
     lists = [candidates, one_shard, []]
+    if kind != "tuple":
+        # numpy scalars (np.int64, np.str_) are labels too: a probe and a
+        # candidate array read as their Python twins.
+        probes += list(np.asarray(probes[:3] + probes[-2:]))
+        lists.append(np.asarray(one_shard))
 
     got = asyncio.run(_cluster_reads(batches, lists, probes))
 
@@ -173,6 +179,8 @@ def test_sharded_sketch_and_cluster_session_answer_alike(kind):
     assert 1 < len(one_shard) < len(candidates)
     assert got["subset_sum"][1] == owner.subset_sum_with_error(set(one_shard).__contains__)
     assert got["subset_sum"][2] == EstimateWithError(estimate=0.0, variance=0.0)
+    assert got["subset_sum"][3:] in ([], [got["subset_sum"][1]])
+    assert got["estimate"][10:] in ([], got["estimate"][:3] + got["estimate"][8:10])
     for label, point in zip(probes, got["estimate"]):
         shard = sharded.shard_for(label)
         assert point == shard.subset_sum_with_error(frozenset((label,)).__contains__)

@@ -17,6 +17,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro
 from repro.core.merge import merge_many_unbiased
 from repro.core.base import ranked_pairs
 from repro.distributed.partition import read_plan, stable_shard
@@ -108,8 +109,56 @@ class TestQueries:
         for read, fields in (("total", {}), ("estimates", {}), ("top_k", {"k": 3})):
             assert asked(read, **fields) == every
         plan = read_plan("heavy_hitters", NUM_SHARDS, seed=SEED, phi=0.1)
-        assert (plan.op, plan.rule, plan.phi) == ("estimates", "union", 0.1)
+        assert (plan.op, plan.phi) == ("estimates", 0.1)
         assert [fields for _, fields in plan.asks] == [{}] * NUM_SHARDS
+        # numpy scalars are placed as their Python twins, as ingest stores them.
+        assert asked("estimate", item=np.int64(7)) == asked("estimate", item=7)
+        assert asked("estimate", item=np.str_("a")) == asked("estimate", item="a")
+        assert asked("subset_sum", candidates=np.array(labels)) == owners
+        assert asked("subset_sum", candidates=set(np.array(labels)).__contains__) == owners
+        # ``holds`` adds the shards that hold a bin equal to a named label.
+        stray = next(index for index in every if index not in owners)
+        holds = lambda index, named: index == stray  # noqa: E731
+        assert asked(
+            "subset_sum", candidates=set(labels).__contains__, holds=holds
+        ) == sorted(owners + [stray])
+        assert stray in asked("estimate", item="a", holds=holds)
+        assert asked("subset_sum", candidates=labels, holds=holds) == owners
+
+    def test_equal_labels_placed_apart_read_like_an_inline_sketch(self):
+        # 1, 1.0 and True are one key to a sketch, but each is placed by
+        # its own repr; an in-process read still finds the bin.
+        assert len({stable_shard(label, 3, seed=0) for label in (1, 1.0)}) == 2
+        inline = repro.build("unbiased_space_saving", size=8, seed=0)
+        session = repro.build(
+            "unbiased_space_saving", size=8, seed=0, backend="sharded", num_shards=3
+        )
+        sharded = ShardedSketch(8, 3, seed=0)
+        for sink in (inline, session, sharded):
+            sink.update_batch([1.0, 1.0, "a"])
+        for label in (1, 1.0, True, np.int64(1)):
+            assert session.estimate(label) == inline.estimate(label)
+            assert session.estimate(label).estimate == 2.0
+            assert session.subset_sum(set([label]).__contains__) == inline.estimate(label)
+            assert sharded.estimate(label) == 2.0
+            assert label in sharded
+
+    def test_numpy_scalars_route_like_python_scalars(self):
+        sharded = ShardedSketch(8, NUM_SHARDS, seed=SEED)
+        sharded.update(np.int64(5))
+        sharded.update_batch([np.int64(5), 5])
+        sharded.update_batch(np.array([5, 6]))
+        owner = sharded.shard_index(5)
+        assert sharded.shard_index(np.int64(5)) == owner
+        assert sharded.shards[owner].estimate(5) == 4.0
+        assert sharded.estimate(np.int64(5)) == sharded.estimate(5) == 4.0
+        session = repro.build(
+            "unbiased_space_saving", size=2, seed=0, backend="sharded", num_shards=3
+        )
+        session.update_batch(np.arange(40) % 13)
+        points = [session.estimate(label) for label in range(13)]
+        assert [session.estimate(np.int64(label)) for label in range(13)] == points
+        assert min(point.variance for point in points) > 0  # the shards evicted
 
     def test_invalid_configuration(self):
         with pytest.raises(InvalidParameterError):
